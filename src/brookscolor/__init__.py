@@ -1,9 +1,8 @@
 """Certifying graph list coloring.
 
-Chordal graphs are recognized via maximum cardinality search and colored
-greedily along the resulting elimination order; everything else is handled by
-branching on a hole. All certificates (orders, holes, colorings) are
-independently checkable.
+Vertices with slack, and all vertices they reach, are colored greedily; the
+rest is handled by branching on holes. All certificates (elimination orders,
+holes, colorings) are independently checkable.
 """
 
 from .chordal import (

@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs with stable non-negative integer ids.
 
 Derived graphs (vertex deletion, edge addition) keep the ids of surviving
-vertices, so a named vertex can be tracked across a whole recursion. All
+vertices, so a named vertex can be tracked across every hole round. All
 iteration runs in ascending id order, which keeps every downstream
 computation reproducible.
 """

@@ -10,6 +10,10 @@ from __future__ import annotations
 from .chordal import Coloring, ListAssignment
 from .graph import Graph, UnknownVertex, build_graph
 
+# Largest vertex count a problem line may declare. Every declared vertex is
+# allocated, so a larger header is refused before any edge is read.
+MAX_VERTICES = 1_000_000
+
 
 class ParseError(Exception):
     """Malformed input text; the message carries the 1-based line number."""
@@ -46,8 +50,8 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
                 int(tokens[3])
             except ValueError:
                 raise ParseError(line_no, "problem line counts must be integers") from None
-            if n < 0:
-                raise ParseError(line_no, "vertex count must be non-negative")
+            if not 0 <= n <= MAX_VERTICES:
+                raise ParseError(line_no, f"vertex count must be in 0..{MAX_VERTICES}")
             continue
         if n is None:
             raise ParseError(line_no, f"'{kind}' line before the problem line")

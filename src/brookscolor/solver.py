@@ -3,25 +3,26 @@
 Every connected component must satisfy one of two conditions: (a) each list
 is longer than its vertex's degree, or (b) the component's max degree D is at
 least 3, each list has at least D colors, and the component is not the
-complete graph on D+1 vertices. Components under (a) color greedily in any
-order. Components under (b) are colored by structural recursion: chordal ones
-greedily along an elimination order; otherwise a hole x_1..x_k is extracted
-and two strictly smaller branch graphs are formed,
+complete graph on D+1 vertices.
+
+Vertices reachable from one with slack (a list longer than its degree) are
+colored greedily in reverse breadth-first order from those vertices. The rest
+is tight: D-regular with lists of exactly D colors and not complete, hence
+not chordal. Only there does the solver branch, one round per hole x_1..x_k:
 
     F = G - {x_4..x_k}        + edge (x_1, x_3)
     H = G - ({x_5..x_k, x_1}) + edge (x_2, x_4)
 
-at least one of which has no complete component on D+1 vertices. That branch
-is colored recursively; its colors on the three retained cycle vertices are
-discarded, the cycle's lists are reduced by the colors of neighbors outside
-the cycle (leaving at least two colors each), and the cycle is recolored by
-walking it once from a start pair whose existence the retained triangle
-guarantees.
+One branch has no complete component on D+1 vertices. Its components with
+slack are colored greedily; the next round runs on the one left tight, which
+holds the retained cycle triple. Then the holes are recolored innermost
+first from their lists minus the colors of neighbors outside the cycle (at
+least two colors each), walking each cycle once from a start pair whose
+existence the retained triangle guarantees.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .chordal import (
@@ -32,7 +33,7 @@ from .chordal import (
     chordality_certificate,
     greedy_color_along,
 )
-from .graph import Graph, connected_components, is_complete, max_degree, surgery
+from .graph import Graph, connected_components, is_complete, surgery
 from .oracle import verify_coloring
 
 
@@ -55,8 +56,9 @@ class InvalidHole(Exception):
 class BothBranchesBlocked(Exception):
     """Both branch graphs contain a complete component on delta+1 vertices.
 
-    Unreachable when the branch pair comes from a hole of a graph satisfying
-    the hypotheses; surfaced as an explicit error so tests can probe it.
+    Unreachable when the branch pair comes from a hole of a connected graph
+    satisfying the hypotheses; surfaced as an explicit error so tests can
+    probe it.
     """
 
 
@@ -185,29 +187,21 @@ def build_branch_pair(g: Graph, c: Hole) -> BranchPair:
     )
 
 
-def _has_complete_component(g: Graph, size: int) -> bool:
-    # With max degree <= size-1, a complete subgraph on `size` vertices can
-    # only be an entire component, so it is the closed neighborhood of each
-    # of its vertices; scanning closed neighborhoods of full-degree vertices
-    # finds it without a component sweep.
-    want = size - 1
-    for v in g.vertices:
-        if g.degree(v) != want:
-            continue
-        closed = frozenset((v, *g.neighbors(v)))
-        if all(g.degree(u) == want for u in closed) and is_complete(g, closed):
-            return True
-    return False
-
-
 def select_branch(pair: BranchPair, delta: int) -> tuple[Graph, tuple[int, int, int]]:
     """The first branch (F preferred) with no complete component on delta+1
     vertices, together with its retained cycle triple.
+
+    Precondition: the pair comes from a hole of a connected graph of max
+    degree delta. Only the component holding the retained triple is checked:
+    every other component of a branch contains a neighbor of a deleted cycle
+    vertex, so it has a vertex of degree below delta. With max degree at most
+    delta, a complete component on delta+1 vertices is the closed neighborhood
+    of each of its vertices, here the triple's first vertex.
     """
-    if not _has_complete_component(pair.f_graph, delta + 1):
-        return pair.f_graph, pair.f_retained
-    if not _has_complete_component(pair.h_graph, delta + 1):
-        return pair.h_graph, pair.h_retained
+    for branch, retained in ((pair.f_graph, pair.f_retained), (pair.h_graph, pair.h_retained)):
+        r = retained[0]
+        if branch.degree(r) != delta or not is_complete(branch, (r, *branch.neighbors(r))):
+            return branch, retained
     raise BothBranchesBlocked(
         f"both branches contain a complete component on {delta + 1} vertices"
     )
@@ -288,17 +282,12 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     """List-color a graph whose components pass :func:`check_hypotheses`.
 
     The returned coloring is proper and drawn from the lists; this is
-    verified before returning on every call, including recursive ones.
+    verified once before returning.
     """
     parts = connected_components(g).components
     report = _check_hypotheses(g, lists, parts)
     if not report.ok:
         raise HypothesisViolation(report.detail)
-    # Branch recursion shaves a few vertices per level, so depth can approach
-    # the vertex count; grow the interpreter limit monotonically.
-    needed = 6 * g.n + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     colors: Coloring = {}
     for comp in parts:
         sub = g if len(comp) == g.n else surgery(g, delete=set(g.vertices) - set(comp))
@@ -309,29 +298,43 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def _color_component(g: Graph, lists: ListAssignment) -> Coloring:
-    # g is connected and satisfies (a) or (b) here.
-    if all(len(lists[v]) > g.degree(v) for v in g.vertices):
-        return greedy_color_along(g, g.vertices, lists)
-    certificate = chordality_certificate(g)
-    if certificate.peo is not None:
-        # Connected, not complete on max_degree+1 vertices: the clique number
-        # is at most the max degree, so lists of that size suffice greedily.
-        return greedy_color_along(g, certificate.peo, lists)
+def _slack_order(g: Graph, lists: ListAssignment) -> list[int]:
+    """The vertices reachable from a vertex whose list beats its degree, in
+    reverse breadth-first visit order from all such vertices at once."""
+    order = [v for v in g.vertices if len(lists[v]) > g.degree(v)]
+    seen = set(order)
+    for v in order:  # the list grows while it is scanned: a queue
+        for u in g.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    order.reverse()
+    return order
 
-    hole = certificate.hole
-    assert hole is not None
+
+def _color_component(g: Graph, lists: ListAssignment) -> Coloring:
+    # g is connected and satisfies (a) or (b). rounds holds the tight graph
+    # and its hole of each round, outermost first.
+    colors: Coloring = {}
+    rounds: list[tuple[Graph, Hole]] = []
     try:
-        pair = build_branch_pair(g, hole)
-        branch, _retained = select_branch(pair, max_degree(g))
-        branch_lists = {v: lists[v] for v in branch.vertices}
-        branch_colors = brooks_list_color(branch, branch_lists)
-        cyc = set(hole.cycle)
-        exterior_colors = {v: col for v, col in branch_colors.items() if v not in cyc}
-        star = residual_lists(g, hole, lists, exterior_colors)
-        cycle_colors = extend_around_cycle(hole, star)
+        while True:
+            order = _slack_order(g, lists)
+            if len(order) == g.n:
+                colors.update(greedy_color_along(g, order, lists))
+                break
+            if order:
+                tight = surgery(g, delete=order)
+                colors.update(greedy_color_along(surgery(g, delete=tight.vertices), order, lists))
+                g = tight
+            hole = chordality_certificate(g).hole
+            if hole is None:
+                raise InternalInvariantBroken("a tight component is chordal, so complete")
+            rounds.append((g, hole))
+            g, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
+        for outer, hole in reversed(rounds):
+            star = residual_lists(outer, hole, lists, colors)
+            colors.update(extend_around_cycle(hole, star))
     except (BothBranchesBlocked, NoStartPair, ResidualTooSmall) as exc:
         raise InternalInvariantBroken(str(exc)) from exc
-    merged = dict(exterior_colors)
-    merged.update(cycle_colors)
-    return merged
+    return colors

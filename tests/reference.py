@@ -40,6 +40,22 @@ def petersen_graph() -> Graph:
     return build_graph(10, outer + spokes + inner)
 
 
+def generalized_petersen(n: int, k: int) -> Graph:
+    """Outer cycle 1..n, spokes i -- n+i, inner edges n+i -- n+(i+k mod n).
+
+    Cubic when n > 2k; (n, 1) is the prism on 2n vertices, (5, 2) Petersen.
+    """
+    outer = [(i, i % n + 1) for i in range(1, n + 1)]
+    spokes = [(i, n + i) for i in range(1, n + 1)]
+    inner = [(n + i, n + (i - 1 + k) % n + 1) for i in range(1, n + 1)]
+    return build_graph(2 * n, outer + spokes + inner)
+
+
+def circulant_graph(n: int, jumps: tuple[int, ...]) -> Graph:
+    """Vertices 1..n on a circle, each joined to those j steps away, j in jumps."""
+    return build_graph(n, [(i, (i - 1 + j) % n + 1) for i in range(1, n + 1) for j in jumps])
+
+
 def disjoint_union(g1: Graph, g2: Graph, offset: int) -> Graph:
     ids = list(g1.vertices) + [v + offset for v in g2.vertices]
     edges = list(g1.edges()) + [(u + offset, v + offset) for u, v in g2.edges()]

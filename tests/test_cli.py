@@ -7,6 +7,7 @@ from brookscolor import (
     uniform_lists,
     verify_coloring,
 )
+from brookscolor import cli
 from brookscolor.cli import main
 
 from reference import complete_graph, cycle_graph, path_graph, petersen_graph
@@ -175,6 +176,21 @@ def test_seedrun_threads_env_same_output(capsys, monkeypatch):
     assert (code1, out1) == (code2, out2)
 
 
+def test_seedrun_names_the_exception_of_a_failed_seed(capsys, monkeypatch):
+    def broken(g, lists):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "brooks_list_color", broken)
+    code, out, _ = run(capsys, ["color", "--seedrun", "2", "--n", "12",
+                                "--delta", "3", "--seed", "1"])
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == 3
+    assert all(line.startswith("seed ") and line.endswith(" fail RuntimeError: planted")
+               for line in lines[:2])
+    assert lines[-1] == "pass 0 fail 2"
+
+
 def test_seedrun_bad_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("BROOKS_COLOR_THREADS", "zero")
     code, _, err = run(capsys, ["color", "--seedrun", "2"])
@@ -196,6 +212,9 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     worse = tmp_path / "worse.col"
     worse.write_text("p edge 2 1\ne 1 9\n")
     assert run(capsys, ["chordal", str(worse)])[0] == 65
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 1000000000000 0\n")
+    assert run(capsys, ["color", str(huge), "--uniform", "3"])[0] == 65
 
 
 def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file):

@@ -65,6 +65,8 @@ def test_parse_errors_cover_malformed_lines():
         "p edge 2 0\ne 1\n",    # short edge line
         "p edge 2 0\ne 1 x\n",  # non-integer
         "p edge 2 0\nl\n",      # list line without a vertex
+        "p edge -1 0\n",        # negative vertex count
+        "p edge 1000000000000 0\n",  # over the cap: refused before allocation
         "",                     # missing problem line
     ]
     for text in bad:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -22,18 +24,22 @@ from brookscolor import (
     generate,
     is_complete,
     max_degree,
+    random_lists,
     residual_lists,
     select_branch,
     uniform_lists,
     verify_coloring,
 )
+from brookscolor import solver
 
 from reference import (
     all_cycle_colorings,
+    circulant_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    generalized_petersen,
     petersen_graph,
 )
 from strategies import nonchordal_graphs
@@ -358,3 +364,74 @@ def test_brooks_agrees_with_oracle_on_small_instances(seed):
     phi = brooks_list_color(g, lists)
     assert verify_coloring(g, lists, phi) is None
     assert isinstance(brute_force_list_color(g, lists), dict)
+
+
+# ------------------------------------------------------- tight hole rounds
+# Connected Δ-regular graphs with lists of exactly Δ colors have no vertex
+# with slack, so every one of them goes through at least one hole round.
+
+TIGHT_FAMILIES = {
+    "prism-3": lambda: generalized_petersen(3, 1),
+    "prism-5": lambda: generalized_petersen(5, 1),
+    "prism-8": lambda: generalized_petersen(8, 1),
+    "circulant-7": lambda: circulant_graph(7, (1, 2)),
+    "circulant-10": lambda: circulant_graph(10, (1, 2)),
+    "circulant-13": lambda: circulant_graph(13, (1, 2)),
+    "gen-petersen-7-2": lambda: generalized_petersen(7, 2),
+    "gen-petersen-8-3": lambda: generalized_petersen(8, 3),
+    "k33": lambda: complete_bipartite(3, 3),
+    "petersen": petersen_graph,
+}
+
+
+@pytest.fixture()
+def branch_picks(monkeypatch):
+    """'F' or 'H' per hole round, recorded around the solver's select_branch."""
+    picks = []
+    real = solver.select_branch
+
+    def spy(pair, delta):
+        branch, retained = real(pair, delta)
+        picks.append("F" if retained == pair.f_retained else "H")
+        return branch, retained
+
+    monkeypatch.setattr(solver, "select_branch", spy)
+    return picks
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", sorted(TIGHT_FAMILIES))
+def test_brooks_tight_regular_families(family, seed, branch_picks):
+    g = TIGHT_FAMILIES[family]()
+    delta = max_degree(g)
+    assert all(g.degree(v) == delta for v in g.vertices)
+    lists = random_lists(g.vertices, palette=delta + 1, list_size=delta, rng=seed)
+    phi = brooks_list_color(g, lists)
+    assert verify_coloring(g, lists, phi) is None
+    assert branch_picks, "a tight component must branch on a hole"
+    if g.n <= 10:
+        assert isinstance(brute_force_list_color(g, lists), dict)
+
+
+def test_brooks_cubic_ten_vertices_takes_two_f_rounds(branch_picks):
+    g = build_graph(10, [(1, 3), (1, 8), (1, 10), (2, 5), (2, 6), (2, 8), (3, 7), (3, 9),
+                         (4, 7), (4, 9), (4, 10), (5, 6), (5, 8), (6, 9), (7, 10)])
+    lists = uniform_lists(g, 3)
+    assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
+    assert branch_picks == ["F", "F"]
+
+
+def test_brooks_cubic_eight_vertices_takes_h(branch_picks):
+    g = build_graph(8, [(1, 2), (1, 3), (1, 7), (2, 7), (2, 8), (3, 4), (3, 5), (4, 5),
+                        (4, 6), (5, 6), (6, 8), (7, 8)])
+    lists = uniform_lists(g, 3)
+    assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
+    assert branch_picks == ["H"]
+
+
+def test_brooks_leaves_recursion_limit_alone():
+    g = generalized_petersen(500, 2)
+    limit = sys.getrecursionlimit()
+    lists = uniform_lists(g, 3)
+    assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
+    assert sys.getrecursionlimit() == limit
