@@ -7,12 +7,13 @@ platform. Vertex ids are always 1..n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 
 from .chordal import ListAssignment
 from .graph import Graph, build_graph
-
-
+from .instance_io import MAX_VERTICES
 
 
 class InfeasibleConfig(Exception):
@@ -20,6 +21,9 @@ class InfeasibleConfig(Exception):
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -35,11 +39,18 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def jump(self, k: int) -> None:
+        """Leave the state where k calls of next_u64 would (k >= 0).
+
+        The state is a Weyl sequence, so k steps add k * 0x9E3779B97F4A7C15.
+        """
+        self.state = (self.state + k * _GAMMA) & _MASK64
 
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n) via modulo reduction."""
@@ -79,8 +90,10 @@ class GeneratorConfig:
 
 def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
     # Random attachment tree, then n extra-edge attempts rejected when a cap
-    # would be exceeded.
-    degree = {v: 0 for v in range(1, n + 1)}
+    # would be exceeded. unsat holds, ascending, the vertices below v whose
+    # degree is under the cap, so each parent draw indexes the same list a
+    # rescan of 1..v-1 would build.
+    degree = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
     adjacent: set[tuple[int, int]] = set()
 
@@ -90,11 +103,17 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
         degree[u] += 1
         degree[v] += 1
 
+    unsat = [1]
     for v in range(2, n + 1):
-        candidates = [u for u in range(1, v) if degree[u] < delta]
-        if not candidates:
+        if not unsat:
             raise InfeasibleConfig(f"no spanning tree with degree cap {delta} on {n} vertices")
-        add(candidates[rng.below(len(candidates))], v)
+        i = rng.below(len(unsat))
+        u = unsat[i]
+        add(u, v)
+        if degree[u] == delta:
+            del unsat[i]
+        if degree[v] < delta:
+            unsat.append(v)
     for _ in range(n):
         u = 1 + rng.below(n)
         v = 1 + rng.below(n)
@@ -109,7 +128,8 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     # Each new vertex attaches to a random subset of a random existing clique
     # (subsets of cliques are cliques), so the insertion order is a perfect
     # elimination ordering and the result is chordal by construction.
-    degree = {v: 0 for v in range(1, n + 1)}
+    degree = [0] * (n + 1)
+    unsat = [1]  # ascending: the vertices below v with degree under the cap
     edges: list[tuple[int, int]] = []
     cliques: list[tuple[int, ...]] = [(1,)]
     for v in range(2, n + 1):
@@ -118,8 +138,7 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
         if not eligible:
             # chosen clique is saturated; the previous vertex never is, so an
             # unsaturated single-vertex clique always exists
-            unsaturated = [u for u in range(1, v) if degree[u] < delta]
-            eligible = [unsaturated[rng.below(len(unsaturated))]]
+            eligible = [unsat[rng.below(len(unsat))]]
         # non-final vertices keep one free slot so growth never dead-ends
         size_cap = delta if v == n else delta - 1
         if size_cap < 1:
@@ -129,23 +148,51 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
         for u in chosen:
             edges.append((u, v))
             degree[u] += 1
-            degree[v] += 1
+            if degree[u] == delta:
+                del unsat[bisect_left(unsat, u)]
+        degree[v] = size
+        if size < delta:
+            unsat.append(v)
         cliques.append(tuple(sorted((*chosen, v))))
     return edges
 
 
 def _gnp_capped(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
     # Edge probability itself is drawn from the stream, so a seed sweep covers
-    # densities from near-empty to near-complete.
-    p = rng.float01()
-    degree = {v: 0 for v in range(1, n + 1)}
+    # densities from near-empty to near-complete. The stream then holds one
+    # draw per pair (u, v), u < v, in row-major order. A draw whose pair has a
+    # saturated endpoint cannot add an edge, so only pairs of unsaturated
+    # vertices are drawn (pair (u, v) is draw `row + v` after p's) and the
+    # state jumps over the rest. The mix is inlined because a call per draw
+    # costs more than the draw. With p = m / 2**53, float01() < p exactly
+    # when the raw draw is below m << 11.
+    threshold = (rng.next_u64() >> 11) << 11
+    start = rng.state
+    degree = [0] * (n + 1)
+    unsat = list(range(n, 0, -1))  # descending: unsaturated vertices >= u
     edges: list[tuple[int, int]] = []
+    row = -1  # draws before row u, minus u
     for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.float01() < p and degree[u] < delta and degree[v] < delta:
-                edges.append((u, v))
-                degree[u] += 1
-                degree[v] += 1
+        if degree[u] < delta:
+            unsat.pop()  # u itself
+            base = (start + row * _GAMMA) & _MASK64
+            full = []  # removed after the walk, which must not see the list shift
+            for v in reversed(unsat):
+                z = (base + v * _GAMMA) & _MASK64
+                z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                if z ^ (z >> 31) < threshold:
+                    edges.append((u, v))
+                    degree[u] += 1
+                    degree[v] += 1
+                    if degree[v] == delta:
+                        full.append(v)
+                    if degree[u] == delta:
+                        break
+            for v in full:
+                del unsat[bisect_left(unsat, -v, key=neg)]
+        row += n - u - 1
+    rng.jump(n * (n - 1) // 2)
     return edges
 
 
@@ -166,8 +213,8 @@ def random_lists(
 
 def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
     """Deterministically generate a graph and list assignment from a config."""
-    if config.n < 1:
-        raise InfeasibleConfig("n must be at least 1")
+    if not 1 <= config.n <= MAX_VERTICES:
+        raise InfeasibleConfig(f"n must be in 1..{MAX_VERTICES}")
     if config.delta < 0:
         raise InfeasibleConfig("delta must be non-negative")
     if config.model not in MODELS:

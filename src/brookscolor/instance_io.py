@@ -47,11 +47,15 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
                 raise ParseError(line_no, "problem line must be 'p edge <n> <m>'")
             try:
                 n = int(tokens[2])
-                int(tokens[3])
+                m = int(tokens[3])
             except ValueError:
                 raise ParseError(line_no, "problem line counts must be integers") from None
             if not 0 <= n <= MAX_VERTICES:
                 raise ParseError(line_no, f"vertex count must be in 0..{MAX_VERTICES}")
+            # m bounds the distinct edges; e lines may repeat an edge, so their
+            # number need not equal m
+            if not 0 <= m <= n * (n - 1) // 2:
+                raise ParseError(line_no, f"edge count must be in 0..{n * (n - 1) // 2}")
             continue
         if n is None:
             raise ParseError(line_no, f"'{kind}' line before the problem line")

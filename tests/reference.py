@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from brookscolor import Graph, build_graph
+from brookscolor import Graph, InfeasibleConfig, SplitMix64, build_graph
 
 
 # ---------------------------------------------------------------- builders
@@ -189,3 +189,74 @@ def all_cycle_colorings(cycle: tuple[int, ...], lists: dict[int, frozenset[int]]
     for combo in itertools.product(*domains):
         if all(combo[i] != combo[(i + 1) % k] for i in range(k)):
             yield dict(zip(cycle, combo))
+
+
+# ------------------------------------------------------- quadratic generators
+# The generators' first form: each step rescans every earlier vertex, and
+# gnp-capped makes every pair's draw. The package must consume the stream the
+# same way and return the same edges.
+
+def tree_plus_edges_rescan(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    degree = {v: 0 for v in range(1, n + 1)}
+    edges: list[tuple[int, int]] = []
+    for v in range(2, n + 1):
+        candidates = [u for u in range(1, v) if degree[u] < delta]
+        if not candidates:
+            raise InfeasibleConfig("no spanning tree")
+        u = candidates[rng.below(len(candidates))]
+        edges.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    for _ in range(n):
+        u = 1 + rng.below(n)
+        v = 1 + rng.below(n)
+        if u == v or (u, v) in edges or (v, u) in edges:
+            continue
+        if degree[u] < delta and degree[v] < delta:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return edges
+
+
+def chordal_simplicial_rescan(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    degree = {v: 0 for v in range(1, n + 1)}
+    edges: list[tuple[int, int]] = []
+    cliques: list[tuple[int, ...]] = [(1,)]
+    for v in range(2, n + 1):
+        base = cliques[rng.below(len(cliques))]
+        eligible = [u for u in base if degree[u] < delta]
+        if not eligible:
+            unsaturated = [u for u in range(1, v) if degree[u] < delta]
+            eligible = [unsaturated[rng.below(len(unsaturated))]]
+        size_cap = delta if v == n else delta - 1
+        if size_cap < 1:
+            raise InfeasibleConfig("degree cap too small")
+        size = 1 + rng.below(min(len(eligible), size_cap))
+        chosen = rng.sample(eligible, size)
+        for u in chosen:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+        cliques.append(tuple(sorted((*chosen, v))))
+    return edges
+
+
+def gnp_capped_every_draw(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    p = rng.float01()
+    degree = {v: 0 for v in range(1, n + 1)}
+    edges: list[tuple[int, int]] = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.float01() < p and degree[u] < delta and degree[v] < delta:
+                edges.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+    return edges
+
+
+QUADRATIC_GENERATORS = {
+    "tree-plus-edges": tree_plus_edges_rescan,
+    "chordal-simplicial": chordal_simplicial_rescan,
+    "gnp-capped": gnp_capped_every_draw,
+}

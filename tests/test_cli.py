@@ -153,6 +153,14 @@ def test_gen_infeasible_config_is_usage_error(capsys):
     assert code == 64 and "usage error" in err
 
 
+def test_gen_vertex_cap_is_usage_error(capsys):
+    # refused before the generator allocates anything for 10**12 vertices
+    for argv in (["gen", "--n", "1000000000000"],
+                 ["color", "--seedrun", "1", "--n", "1000000000000"]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and "usage error" in err and out == "", argv
+
+
 def test_seedrun_reports_counts(capsys):
     code, out, _ = run(capsys, ["color", "--seedrun", "4", "--n", "12",
                                 "--delta", "3", "--seed", "1"])
@@ -215,6 +223,9 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     huge = tmp_path / "huge.col"
     huge.write_text("p edge 1000000000000 0\n")
     assert run(capsys, ["color", str(huge), "--uniform", "3"])[0] == 65
+    dense = tmp_path / "dense.col"
+    dense.write_text("p edge 3 4\ne 1 2\n")
+    assert run(capsys, ["chordal", str(dense)])[0] == 65
 
 
 def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file):

@@ -67,6 +67,8 @@ def test_parse_errors_cover_malformed_lines():
         "p edge 2 0\nl\n",      # list line without a vertex
         "p edge -1 0\n",        # negative vertex count
         "p edge 1000000000000 0\n",  # over the cap: refused before allocation
+        "p edge 3 -1\n",        # negative edge count
+        "p edge 3 4\n",         # more edges than 3 vertices can hold
         "",                     # missing problem line
     ]
     for text in bad:
