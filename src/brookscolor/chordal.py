@@ -3,14 +3,15 @@
 For any graph this module produces one of two independently checkable
 certificates: an elimination order in which every vertex's earlier neighbors
 form a clique (the graph is chordal), or a hole, i.e. a chordless cycle of
-length at least four (it is not). Chordal graphs are then list-colored
-greedily along the order.
+length at least four (it is not). The order comes from maximum cardinality
+search; when it fails verification, the hole grows from the first violation
+by one BFS. Chordal graphs are then list-colored greedily along the order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,13 +47,12 @@ class InternalInvariantBroken(Exception):
 
 
 class EliminationOrder:
-    """A vertex order with O(1) position lookup."""
+    """A vertex order, as a tuple."""
 
-    __slots__ = ("order", "position")
+    __slots__ = ("order",)
 
     def __init__(self, order: Iterable[int]):
         self.order: tuple[int, ...] = tuple(order)
-        self.position: dict[int, int] = {v: i for i, v in enumerate(self.order)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EliminationOrder):
@@ -194,92 +194,31 @@ def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
     return Hole((v, *path))
 
 
-def _norm(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _edge_components(g: Graph) -> dict[tuple[int, int], int]:
-    """Biconnected-component id per edge, keys normalized as (min, max).
-
-    Bridges land in singleton components. Every cycle lies inside a single
-    component, which is what the hole scan's pair filter relies on.
-    """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp_of: dict[tuple[int, int], int] = {}
-    edge_stack: list[tuple[int, int]] = []
-    clock = 0
-    comps = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        while stack:
-            v, parent, nbrs = stack[-1]
-            descended = False
-            for w in nbrs:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    edge_stack.append(_norm(v, w))
-                    stack.append((w, v, iter(g.neighbors(w))))
-                    descended = True
-                    break
-                if disc[w] < disc[v]:  # back edge to an ancestor, seen once
-                    edge_stack.append(_norm(v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if descended:
-                continue
-            stack.pop()
-            if stack:
-                up = stack[-1][0]
-                if low[v] < low[up]:
-                    low[up] = low[v]
-                if low[v] >= disc[up]:
-                    comps += 1
-                    tree_edge = _norm(up, v)
-                    while True:
-                        e = edge_stack.pop()
-                        comp_of[e] = comps
-                        if e == tree_edge:
-                            break
-    return comp_of
-
-
 def chordality_certificate(g: Graph) -> ChordalityCertificate:
     """Either a verified elimination order or a hole.
 
     Runs maximum cardinality search and verifies the result. On a violation
-    the graph is known not to be chordal, and candidate witness triples
-    (v; u, w) with u, w non-adjacent neighbors of v are scanned in ascending
-    order until a hole grows. Pairs whose two edges lie in different
-    biconnected components are skipped: no cycle can use both, so the path
-    search would come back empty anyway.
+    the hole grows from the witness by one BFS. This relies on the MCS path
+    property (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984; addendum,
+    SIAM J. Comput. 14(1), 1985): at the first violation v of an MCS order,
+    any two non-adjacent earlier neighbors are joined by a path that avoids
+    v and its other neighbors. The hole is returned in canonical rotation:
+    smallest id first, then toward the smaller of that vertex's two cycle
+    neighbors.
     """
     candidate = mcs_order(g)
-    if verify_peo(g, candidate) is None:
+    viol = verify_peo(g, candidate)
+    if viol is None:
         return ChordalityCertificate(peo=candidate)
-    edge_comp = _edge_components(g)
-    comp_size = Counter(edge_comp.values())
-    for v in g.vertices:
-        cyclic = [u for u in g.neighbors(v) if comp_size[edge_comp[_norm(v, u)]] > 1]
-        if len(cyclic) < 2:
-            continue
-        for i, u in enumerate(cyclic):
-            u_comp = edge_comp[_norm(v, u)]
-            u_nbrs = g.neighbor_set(u)
-            for w in cyclic[i + 1:]:
-                if w in u_nbrs or edge_comp[_norm(v, w)] != u_comp:
-                    continue
-                hole = find_hole_from_witness(g, v, u, w)
-                if hole is not None:
-                    return ChordalityCertificate(hole=hole)
-    raise InternalInvariantBroken("order verification failed but no hole was found")
+    hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)
+    if hole is None:
+        raise InternalInvariantBroken("order verification failed but no hole was found")
+    cycle = hole.cycle
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if cycle[-1] < cycle[1]:
+        cycle = (cycle[0], *reversed(cycle[1:]))
+    return ChordalityCertificate(hole=Hole(cycle))
 
 
 def clique_number_from_peo(g: Graph, peo: EliminationOrder | Sequence[int]) -> int:

@@ -70,6 +70,8 @@ class SplitMix64:
 
 
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
+# gnp-capped walks up to n**2 / 2 pairs when p is small, so n is capped lower.
+MAX_GNP_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,8 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
         raise InfeasibleConfig("delta must be non-negative")
     if config.model not in MODELS:
         raise InfeasibleConfig(f"unknown model {config.model!r} (choose from {MODELS})")
+    if config.model == "gnp-capped" and config.n > MAX_GNP_VERTICES:
+        raise InfeasibleConfig(f"gnp-capped n must be at most {MAX_GNP_VERTICES}")
     if config.list_size > config.palette:
         raise InfeasibleConfig(
             f"list size {config.list_size} exceeds palette {config.palette}"

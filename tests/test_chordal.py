@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -191,6 +193,25 @@ def test_certificate_deterministic(g):
     first = chordality_certificate(g)
     second = chordality_certificate(g)
     assert (first.peo, first.hole) == (second.peo, second.hole)
+
+
+def test_certificate_exhaustive_up_to_six_vertices():
+    # every labelled graph on at most 6 vertices: the single BFS from the MCS
+    # witness always closes a hole, returned in canonical rotation
+    checked = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            cert = chordality_certificate(g)
+            if cert.is_chordal:
+                assert verify_peo(g, cert.peo) is None
+            else:
+                cycle = cert.hole.cycle
+                assert is_hole_bruteforce(g, cycle), cycle
+                assert cycle[0] == min(cycle) and cycle[1] < cycle[-1], cycle
+            checked += 1
+    assert checked == 33_868
 
 
 # ------------------------------------------------------ clique_number_from_peo

@@ -156,7 +156,8 @@ def test_gen_infeasible_config_is_usage_error(capsys):
 def test_gen_vertex_cap_is_usage_error(capsys):
     # refused before the generator allocates anything for 10**12 vertices
     for argv in (["gen", "--n", "1000000000000"],
-                 ["color", "--seedrun", "1", "--n", "1000000000000"]):
+                 ["color", "--seedrun", "1", "--n", "1000000000000"],
+                 ["gen", "--model", "gnp-capped", "--n", "10001"]):
         code, out, err = run(capsys, argv)
         assert code == 64 and "usage error" in err and out == "", argv
 

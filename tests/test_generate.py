@@ -17,6 +17,7 @@ from brookscolor import (
     random_lists,
     verify_peo,
 )
+from brookscolor.generate import MAX_GNP_VERTICES
 from brookscolor.instance_io import MAX_VERTICES
 
 from reference import QUADRATIC_GENERATORS
@@ -129,9 +130,12 @@ def test_splitmix64_jump_matches_repeated_draws():
 def test_generate_refuses_n_over_the_parser_cap():
     # refused before anything is allocated: a 10**12-vertex degree table
     # would exhaust memory long before failing
-    for n in (MAX_VERTICES + 1, 10**12):
+    for cfg in (GeneratorConfig(n=MAX_VERTICES + 1, delta=3),
+                GeneratorConfig(n=10**12, delta=3),
+                # gnp-capped's walk is quadratic in n, so it has a lower cap
+                GeneratorConfig(n=MAX_GNP_VERTICES + 1, delta=3, model="gnp-capped")):
         with pytest.raises(InfeasibleConfig):
-            generate(GeneratorConfig(n=n, delta=3))
+            generate(cfg)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1),

@@ -414,8 +414,8 @@ def test_brooks_tight_regular_families(family, seed, branch_picks):
 
 
 def test_brooks_cubic_ten_vertices_takes_two_f_rounds(branch_picks):
-    g = build_graph(10, [(1, 3), (1, 8), (1, 10), (2, 5), (2, 6), (2, 8), (3, 7), (3, 9),
-                         (4, 7), (4, 9), (4, 10), (5, 6), (5, 8), (6, 9), (7, 10)])
+    g = build_graph(10, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 5), (2, 6), (3, 5), (3, 6),
+                         (4, 9), (4, 10), (6, 10), (7, 8), (7, 9), (8, 9), (8, 10)])
     lists = uniform_lists(g, 3)
     assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
     assert branch_picks == ["F", "F"]
