@@ -4,16 +4,17 @@ For any graph this module produces one of two independently checkable
 certificates: an elimination order in which every vertex's earlier neighbors
 form a clique (the graph is chordal), or a hole, i.e. a chordless cycle of
 length at least four (it is not). The order comes from maximum cardinality
-search; when it fails verification, the hole grows from the first violation
-by one BFS. Chordal graphs are then list-colored greedily along the order.
+search with weight buckets, and each vertex is checked against its earlier
+neighbors as it is visited; at the first violation the search stops and the
+hole grows from it by one BFS. Chordal graphs are then list-colored greedily
+along the order.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -63,31 +64,29 @@ class EliminationOrder:
         return f"EliminationOrder({list(self.order)!r})"
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     """A chordless cycle x_1, ..., x_k with k >= 4, listed in cycle order."""
 
     cycle: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PeoViolation:
+class PeoViolation(NamedTuple):
     """Earlier neighbors u, w of `vertex` that are not adjacent."""
 
     vertex: int
     witness_pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
 class ChordalityCertificate:
     """Exactly one of: an elimination order (chordal) or a hole (not chordal)."""
 
-    peo: EliminationOrder | None = None
-    hole: Hole | None = None
+    __slots__ = ("peo", "hole")
 
-    def __post_init__(self) -> None:
-        if (self.peo is None) == (self.hole is None):
+    def __init__(self, peo: EliminationOrder | None = None, hole: Hole | None = None):
+        if (peo is None) == (hole is None):
             raise ValueError("certificate must carry exactly one of peo / hole")
+        self.peo = peo
+        self.hole = hole
 
     @property
     def is_chordal(self) -> bool:
@@ -106,6 +105,36 @@ def _as_order(order: EliminationOrder | Sequence[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _mcs(g: Graph) -> Iterator[int]:
+    """Yield the vertices in maximum cardinality search order.
+
+    buckets[w] is a min-heap of the ids that reached weight w (visited
+    neighbors); an entry is stale once its vertex is visited or heavier.
+    """
+    weight = dict.fromkeys(g.vertices, 0)
+    buckets = [list(g.vertices)]  # ascending ids: already a heap
+    top = 0
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        v = heappop(bucket)
+        if weight[v] != top:
+            continue  # stale entry
+        weight[v] = -1  # visited
+        yield v
+        for u in g.neighbors(v):
+            w = weight[u] + 1
+            if w:  # u is unvisited
+                weight[u] = w
+                if w == len(buckets):
+                    buckets.append([])
+                heappush(buckets[w], u)
+                if w > top:
+                    top = w
+
+
 def mcs_order(g: Graph) -> EliminationOrder:
     """Maximum cardinality search visit order (an elimination-order candidate).
 
@@ -113,21 +142,29 @@ def mcs_order(g: Graph) -> EliminationOrder:
     breaking ties toward the smallest id; the first vertex is the smallest id.
     For chordal graphs the result is a perfect elimination ordering.
     """
-    weight = {v: 0 for v in g.vertices}
-    heap: list[tuple[int, int]] = [(0, v) for v in g.vertices]
-    seen: set[int] = set()
-    order: list[int] = []
-    while heap:
-        w, v = heapq.heappop(heap)
-        if v in seen or -w != weight[v]:
-            continue  # stale entry
-        seen.add(v)
-        order.append(v)
-        for u in g.neighbors(v):
-            if u not in seen:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
-    return EliminationOrder(order)
+    return EliminationOrder(_mcs(g))
+
+
+def _violation(g: Graph, v: int, earlier: list[int], pos: dict[int, int]) -> PeoViolation | None:
+    """The lexicographically smallest non-adjacent pair among v's earlier
+    neighbors, or None if they form a clique. Valid only while every earlier
+    vertex of the order passed this check."""
+    if len(earlier) <= 1:
+        return None
+    # It suffices to compare against the latest-placed earlier neighbor: its
+    # own earlier neighbors are pairwise adjacent by the minimality of the
+    # first failure, so the full clique check reduces to membership.
+    anchor = max(earlier, key=pos.__getitem__)
+    anchor_nbrs = g.neighbor_set(anchor)
+    if all(u == anchor or u in anchor_nbrs for u in earlier):
+        return None
+    earlier.sort()
+    for a_idx, a in enumerate(earlier):
+        a_nbrs = g.neighbor_set(a)
+        for b in earlier[a_idx + 1:]:
+            if b not in a_nbrs:
+                return PeoViolation(vertex=v, witness_pair=(a, b))
+    raise InternalInvariantBroken("reduced check failed but no bad pair found")
 
 
 def verify_peo(g: Graph, order: EliminationOrder | Sequence[int]) -> PeoViolation | None:
@@ -141,23 +178,9 @@ def verify_peo(g: Graph, order: EliminationOrder | Sequence[int]) -> PeoViolatio
         raise NotAPermutation("order must be a permutation of the graph's vertices")
     pos = {v: i for i, v in enumerate(seq)}
     for i, v in enumerate(seq):
-        earlier = [u for u in g.neighbors(v) if pos[u] < i]
-        if len(earlier) <= 1:
-            continue
-        # It suffices to compare against the latest-placed earlier neighbor:
-        # its own earlier neighbors are pairwise adjacent by the minimality of
-        # the first failure, so the full clique check reduces to membership.
-        anchor = max(earlier, key=pos.__getitem__)
-        anchor_nbrs = g.neighbor_set(anchor)
-        if all(u == anchor or u in anchor_nbrs for u in earlier):
-            continue
-        earlier.sort()
-        for a_idx, a in enumerate(earlier):
-            a_nbrs = g.neighbor_set(a)
-            for b in earlier[a_idx + 1:]:
-                if b not in a_nbrs:
-                    return PeoViolation(vertex=v, witness_pair=(a, b))
-        raise InternalInvariantBroken("reduced check failed but no bad pair found")
+        viol = _violation(g, v, [u for u in g.neighbors(v) if pos[u] < i], pos)
+        if viol is not None:
+            return viol
     return None
 
 
@@ -197,8 +220,10 @@ def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
 def chordality_certificate(g: Graph) -> ChordalityCertificate:
     """Either a verified elimination order or a hole.
 
-    Runs maximum cardinality search and verifies the result. On a violation
-    the hole grows from the witness by one BFS. This relies on the MCS path
+    Runs maximum cardinality search and checks each vertex against its
+    earlier neighbors as it is visited, exactly as :func:`verify_peo` would
+    check the finished order. At the first violation the search stops and the
+    hole grows from the witness by one BFS. This relies on the MCS path
     property (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984; addendum,
     SIAM J. Comput. 14(1), 1985): at the first violation v of an MCS order,
     any two non-adjacent earlier neighbors are joined by a path that avoids
@@ -206,10 +231,14 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     smallest id first, then toward the smaller of that vertex's two cycle
     neighbors.
     """
-    candidate = mcs_order(g)
-    viol = verify_peo(g, candidate)
-    if viol is None:
-        return ChordalityCertificate(peo=candidate)
+    pos: dict[int, int] = {}
+    for v in _mcs(g):
+        viol = _violation(g, v, [u for u in g.neighbors(v) if u in pos], pos)
+        if viol is not None:
+            break
+        pos[v] = len(pos)
+    else:
+        return ChordalityCertificate(peo=EliminationOrder(pos))
     hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)
     if hole is None:
         raise InternalInvariantBroken("order verification failed but no hole was found")

@@ -14,7 +14,8 @@ import sys
 from .chordal import chordality_certificate, uniform_lists
 from .generate import MODELS, GeneratorConfig, InfeasibleConfig, generate
 from .graph import GraphError
-from .instance_io import ParseError, emit_coloring, emit_instance, parse_coloring, parse_instance
+from .instance_io import (MAX_VERTICES, ParseError, emit_coloring, emit_instance,
+                          parse_coloring, parse_instance)
 from .oracle import IncompleteColoring, OracleOutcome, brute_force_list_color, verify_coloring
 from .solver import HypothesisViolation, brooks_list_color, check_hypotheses
 
@@ -155,6 +156,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return _cmd_seedrun(args)
     if args.file is None:
         raise _UsageError("color needs an instance FILE (or --seedrun N)")
+    # no vertex can need more colors than the vertex cap, so a larger K only
+    # costs memory
+    if args.uniform is not None and args.uniform > MAX_VERTICES:
+        raise _UsageError(f"--uniform K must be at most {MAX_VERTICES}")
     g, lists = parse_instance(_read(args.file))
     if args.uniform is not None:
         lists = uniform_lists(g, args.uniform)
@@ -228,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, GraphError) as exc:
+    except (ParseError, GraphError, UnicodeDecodeError) as exc:
         print(f"bad input data: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -8,8 +8,8 @@ platform. Vertex ids are always 1..n.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .chordal import ListAssignment
 from .graph import Graph, build_graph
@@ -74,8 +74,7 @@ MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
 MAX_GNP_VERTICES = 10_000
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     """Parameters for one seeded instance.
 
     palette is the number of available colors (lists draw from 1..palette);

@@ -9,8 +9,7 @@ computation reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -115,8 +114,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """Connected components as disjoint sorted id tuples covering the graph."""
 
     components: tuple[tuple[int, ...], ...]

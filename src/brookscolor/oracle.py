@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chordal import Coloring, ListAssignment
 from .graph import Graph
@@ -18,8 +18,7 @@ class OracleOutcome(enum.Enum):
     LIMIT_EXCEEDED = "limit-exceeded"
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(NamedTuple):
     """First problem found in a coloring, in ascending vertex scan order."""
 
     kind: str  # "color-not-in-list" | "monochromatic-edge"

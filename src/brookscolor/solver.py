@@ -23,7 +23,7 @@ existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chordal import (
     Coloring,
@@ -78,8 +78,7 @@ class ResidualTooSmall(Exception):
         self.vertex = vertex
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of the per-component hypothesis check."""
 
     ok: bool
@@ -87,8 +86,7 @@ class HypothesisReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class BranchPair:
+class BranchPair(NamedTuple):
     """The two smaller graphs derived from a hole, with bookkeeping."""
 
     f_graph: Graph
@@ -100,8 +98,7 @@ class BranchPair:
     h_added_edge: tuple[int, int]  # (x_2, x_4)
 
 
-@dataclass(frozen=True)
-class ResidualLists:
+class ResidualLists(NamedTuple):
     """Cycle-vertex lists after removing colors of neighbors outside the cycle."""
 
     star_lists: dict[int, frozenset[int]]

@@ -6,6 +6,7 @@ plain BFS) and deliberately shares no logic with the package under test.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
@@ -180,6 +181,58 @@ def first_peo_violation_bruteforce(g: Graph, order) -> tuple[int, tuple[int, int
             if not g.adjacent(a, b):
                 return v, (a, b)
     return None
+
+
+# ------------------------------------------------- heap-based certificate
+# The chordality certificate's first form: maximum cardinality search over the
+# whole graph with a heap of (-weight, id) entries, then the whole order
+# checked, then one BFS from the first violation, in canonical rotation.
+
+def mcs_order_heap(g: Graph) -> tuple[int, ...]:
+    weight = {v: 0 for v in g.vertices}
+    heap: list[tuple[int, int]] = [(0, v) for v in g.vertices]
+    seen: set[int] = set()
+    order: list[int] = []
+    while heap:
+        w, v = heapq.heappop(heap)
+        if v in seen or -w != weight[v]:
+            continue  # stale entry
+        seen.add(v)
+        order.append(v)
+        for u in g.neighbors(v):
+            if u not in seen:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
+    return tuple(order)
+
+
+def certificate_pipeline(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(order, None) if the MCS order is perfect, else (None, hole)."""
+    order = mcs_order_heap(g)
+    violation = first_peo_violation_bruteforce(g, order)
+    if violation is None:
+        return order, None
+    v, (u, w) = violation
+    blocked = (g.neighbor_set(v) | {v}) - {u, w}
+    parent: dict[int, int | None] = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == w:
+            break
+        for y in g.neighbors(x):
+            if y not in blocked and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    path = [w]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    cycle = (v, *reversed(path))
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if cycle[-1] < cycle[1]:
+        cycle = (cycle[0], *reversed(cycle[1:]))
+    return None, cycle
 
 
 def all_cycle_colorings(cycle: tuple[int, ...], lists: dict[int, frozenset[int]]):

@@ -36,6 +36,17 @@ def nonchordal_graphs(draw, max_n: int = 9):
 
 
 @st.composite
+def relabelled(draw, base):
+    """A graph drawn from `base` with its ids mapped onto distinct, shuffled,
+    non-contiguous non-negative ids."""
+    g = draw(base)
+    ids = draw(st.lists(st.integers(0, 10 * g.n + 10), min_size=g.n, max_size=g.n,
+                        unique=True))
+    new = dict(zip(g.vertices, ids))
+    return build_graph(ids, [(new[u], new[v]) for u, v in g.edges()])
+
+
+@st.composite
 def list_assignments(draw, g, min_size: int = 0, max_size: int = 4, palette: int = 6):
     """Random lists over {1..palette} with per-vertex sizes in [min_size, max_size]."""
     lists = {}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -29,16 +30,18 @@ from brookscolor import (
 )
 
 from reference import (
+    certificate_pipeline,
     complete_graph,
     cycle_graph,
     first_peo_violation_bruteforce,
     is_chordal_bruteforce,
     is_hole_bruteforce,
     max_clique_bruteforce,
+    mcs_order_heap,
     path_graph,
     petersen_graph,
 )
-from strategies import graphs
+from strategies import graphs, nonchordal_graphs, relabelled
 
 
 # ----------------------------------------------------------------- mcs_order
@@ -212,6 +215,34 @@ def test_certificate_exhaustive_up_to_six_vertices():
                 assert cycle[0] == min(cycle) and cycle[1] < cycle[-1], cycle
             checked += 1
     assert checked == 33_868
+
+
+@given(relabelled(st.one_of(graphs(max_n=14), nonchordal_graphs(max_n=14))))
+def test_mcs_and_certificate_match_heap_reference(g):
+    # the bucketed search checked as it runs gives the heap search's order
+    # and, at its first violation, the same hole
+    assert mcs_order(g).order == mcs_order_heap(g)
+    cert = chordality_certificate(g)
+    peo, hole = certificate_pipeline(g)
+    assert cert.peo == (None if peo is None else EliminationOrder(peo))
+    assert cert.hole == (None if hole is None else Hole(hole))
+
+
+def test_certificate_matches_heap_reference_on_sparse_graphs():
+    # larger sparse graphs, where ties between shortest paths make the hole
+    # depend on which end of the witness pair the search starts from
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(10, 40)
+        ids = rng.sample(range(10 * n), n)
+        p = rng.uniform(0.02, 0.2)
+        g = build_graph(ids, [(ids[i], ids[j]) for i, j in itertools.combinations(range(n), 2)
+                              if rng.random() < p])
+        assert mcs_order(g).order == mcs_order_heap(g)
+        cert = chordality_certificate(g)
+        peo, hole = certificate_pipeline(g)
+        assert cert.peo == (None if peo is None else EliminationOrder(peo))
+        assert cert.hole == (None if hole is None else Hole(hole))
 
 
 # ------------------------------------------------------ clique_number_from_peo

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from brookscolor import (
@@ -206,11 +211,17 @@ def test_seedrun_bad_threads_env(capsys, monkeypatch):
     assert code == 64 and "BROOKS_COLOR_THREADS" in err
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, [])[0] == 64
     assert run(capsys, ["frobnicate"])[0] == 64
     assert run(capsys, ["chordal"])[0] == 64  # missing file argument
     assert run(capsys, ["chordal", str(tmp_path / "missing.col")])[0] == 64
+    edge = tmp_path / "edge.col"
+    edge.write_text(emit_instance(path_graph(2)))
+    monkeypatch.setattr(cli, "uniform_lists", None)  # K is refused before any list is built
+    for k in ("100000000000", "1000001"):
+        code, out, err = run(capsys, ["color", str(edge), "--uniform", k])
+        assert code == 64 and out == "" and "--uniform" in err
 
 
 def test_malformed_file_is_data_error(capsys, tmp_path):
@@ -227,6 +238,17 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     dense = tmp_path / "dense.col"
     dense.write_text("p edge 3 4\ne 1 2\n")
     assert run(capsys, ["chordal", str(dense)])[0] == 65
+    binary = tmp_path / "binary.col"
+    binary.write_bytes(b"p edge 2 1\ne 1 2\nc \xff\xfe\x80\n")
+    good = tmp_path / "good.col"
+    good.write_text(emit_instance(path_graph(2)))
+    coloring = tmp_path / "good-coloring.col"
+    coloring.write_text("v 1 1\nv 2 2\n")
+    for argv in (["chordal", str(binary)], ["color", str(binary), "--uniform", "3"],
+                 ["oracle", str(binary)], ["verify", str(binary), str(coloring)],
+                 ["verify", str(good), str(binary)]):
+        code, _, err = run(capsys, argv)
+        assert code == 65 and "bad input data" in err, argv
 
 
 def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file):
@@ -247,3 +269,15 @@ def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second, argv
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # both cost start-up time on every command; -S skips site-packages, so the
+    # package comes from the source tree
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, brookscolor.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

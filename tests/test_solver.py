@@ -421,6 +421,28 @@ def test_brooks_cubic_ten_vertices_takes_two_f_rounds(branch_picks):
     assert branch_picks == ["F", "F"]
 
 
+def test_brooks_cubic_twenty_two_vertices_takes_four_f_rounds(branch_picks, monkeypatch):
+    # nested prism and K_{3,3} blocks: the only pinned input whose hole loop
+    # runs past two rounds, so the holes are recolored from depth four out
+    g = build_graph(22, [(1, 2), (1, 20), (1, 22), (2, 5), (2, 9), (3, 10), (3, 17), (3, 22),
+                         (4, 7), (4, 8), (4, 12), (5, 14), (5, 18), (6, 15), (6, 18), (6, 21),
+                         (7, 12), (7, 17), (8, 10), (8, 19), (9, 15), (9, 21), (10, 13),
+                         (11, 14), (11, 16), (11, 20), (12, 17), (13, 19), (13, 22), (14, 16),
+                         (15, 21), (16, 20), (18, 19)])
+    rounds = []
+    real = solver.build_branch_pair
+
+    def spy(tight, hole):
+        rounds.append((tight.n, len(hole.cycle)))
+        return real(tight, hole)
+
+    monkeypatch.setattr(solver, "build_branch_pair", spy)
+    lists = uniform_lists(g, 3)
+    assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
+    assert branch_picks == ["F", "F", "F", "F"]
+    assert rounds == [(22, 6), (18, 6), (14, 6), (10, 4)]
+
+
 def test_brooks_cubic_eight_vertices_takes_h(branch_picks):
     g = build_graph(8, [(1, 2), (1, 3), (1, 7), (2, 7), (2, 8), (3, 4), (3, 5), (4, 5),
                         (4, 6), (5, 6), (6, 8), (7, 8)])
