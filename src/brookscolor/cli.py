@@ -127,26 +127,24 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     if count < 1:
         raise _UsageError("--seedrun needs a positive instance count")
     _threads()
-    instances = []
-    seed = args.seed
-    attempts = 0
-    while len(instances) < count:
-        attempts += 1
-        if attempts > 100 * count + 1000:
-            raise _UsageError("could not generate enough hypothesis-satisfying instances")
+    # seed by seed, so a batch holds one instance in memory at a time
+    done = failed = 0
+    for seed in range(args.seed, args.seed + 100 * count + 1000):
         g, lists = generate(_config_from_args(args, seed=seed))
-        if check_hypotheses(g, lists).ok:
-            instances.append((seed, g, lists))
-        seed += 1
-    failed = 0
-    for s, g, lists in instances:
+        if not check_hypotheses(g, lists).ok:
+            continue
         try:
             brooks_list_color(g, lists)  # verifies its own output
         except Exception as exc:  # reported per seed; the batch goes on
             failed += 1
-            print(f"seed {s} fail {type(exc).__name__}: {exc}")
+            print(f"seed {seed} fail {type(exc).__name__}: {exc}")
         else:
-            print(f"seed {s} pass")
+            print(f"seed {seed} pass")
+        done += 1
+        if done == count:
+            break
+    else:
+        raise _UsageError("could not generate enough hypothesis-satisfying instances")
     print(f"pass {count - failed} fail {failed}")
     return EXIT_OK if not failed else 1
 

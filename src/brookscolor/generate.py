@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import neg
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .chordal import ListAssignment
 from .graph import Graph, build_graph
@@ -60,13 +60,16 @@ class SplitMix64:
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) / float(1 << 53)
 
-    def sample(self, pool: list[int], k: int) -> list[int]:
-        """k distinct elements of pool by a partial Fisher-Yates shuffle."""
-        pool = list(pool)
+    def sample(self, pool: Sequence[int], k: int) -> list[int]:
+        """k distinct elements of pool by a partial Fisher-Yates shuffle that
+        stores only displaced entries: O(k), reading pool (a range will do) by index."""
+        moved: dict[int, int] = {}
+        picked = []
         for i in range(k):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            j = i + self.next_u64() % (len(pool) - i)  # below(), inlined to save a call per draw
+            picked.append(moved[j] if j in moved else pool[j])
+            moved[j] = moved[i] if i in moved else pool[i]
+        return picked
 
 
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
@@ -204,12 +207,18 @@ def random_lists(
     rng: SplitMix64 | int,
 ) -> ListAssignment:
     """Uniform random list_size-subsets of {1..palette}, per vertex ascending."""
-    if list_size > palette:
-        raise InfeasibleConfig(f"list size {list_size} exceeds palette {palette}")
+    _check_list_params(palette, list_size)
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    colors = list(range(1, palette + 1))
+    colors = range(1, palette + 1)
     return {v: frozenset(rng.sample(colors, list_size)) for v in sorted(vertices)}
+
+
+def _check_list_params(palette: int, list_size: int) -> None:
+    # no vertex can need more colors than the vertex cap
+    if not 0 <= list_size <= min(palette, MAX_VERTICES):
+        raise InfeasibleConfig(f"list size {list_size} must be in 0..palette ({palette})"
+                               f" and at most {MAX_VERTICES}")
 
 
 def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
@@ -222,10 +231,7 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
         raise InfeasibleConfig(f"unknown model {config.model!r} (choose from {MODELS})")
     if config.model == "gnp-capped" and config.n > MAX_GNP_VERTICES:
         raise InfeasibleConfig(f"gnp-capped n must be at most {MAX_GNP_VERTICES}")
-    if config.list_size > config.palette:
-        raise InfeasibleConfig(
-            f"list size {config.list_size} exceeds palette {config.palette}"
-        )
+    _check_list_params(config.palette, config.list_size)
     if config.n > 1 and config.delta < 1:
         raise InfeasibleConfig("delta 0 only allows a single vertex")
     rng = SplitMix64(config.seed)

@@ -9,7 +9,7 @@ computation reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -206,15 +206,18 @@ def surgery(
                 raise UnknownVertex(f"added edge ({u}, {v}) uses unknown vertex {x}")
         additions.setdefault(u, []).append(v)
         additions.setdefault(v, []).append(u)
-    if doomed:
-        vertices = tuple(v for v in g.vertices if v not in doomed)
-        neighbors = {
-            v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices
-        }
-    else:
-        vertices = g.vertices
-        neighbors = {v: g.neighbors(v) for v in vertices}
+    vertices = tuple(v for v in g.vertices if v not in doomed)
+    neighbors = {v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices}
     for v, extra in additions.items():
         neighbors[v] = tuple(sorted(set(neighbors[v]).union(extra)))
     m = sum(len(nbrs) for nbrs in neighbors.values()) // 2
     return Graph._from_parts(vertices, neighbors, m)
+
+
+def _closed_part(g: Graph, part: Collection[int]) -> Graph:
+    """The subgraph of g on part, a vertex set no edge leaves (a union of
+    components), sharing g's neighbor tuples; g itself if part is all of g."""
+    if len(part) == g.n:
+        return g
+    neighbors = {v: g.neighbors(v) for v in sorted(part)}
+    return Graph._from_parts(tuple(neighbors), neighbors, sum(map(len, neighbors.values())) // 2)

@@ -5,10 +5,12 @@ is longer than its vertex's degree, or (b) the component's max degree D is at
 least 3, each list has at least D colors, and the component is not the
 complete graph on D+1 vertices.
 
-Vertices reachable from one with slack (a list longer than its degree) are
-colored greedily in reverse breadth-first order from those vertices. The rest
+First, one pass over the whole input colors every component that has a
+vertex with slack (a list longer than its degree): greedily, in reverse
+breadth-first order from all such vertices at once. Each remaining component
 is tight: D-regular with lists of exactly D colors and not complete, hence
-not chordal. Only there does the solver branch, one round per hole x_1..x_k:
+not chordal. Only there, one component at a time, does the solver branch,
+one round per hole x_1..x_k:
 
     F = G - {x_4..x_k}        + edge (x_1, x_3)
     H = G - ({x_5..x_k, x_1}) + edge (x_2, x_4)
@@ -33,7 +35,7 @@ from .chordal import (
     chordality_certificate,
     greedy_color_along,
 )
-from .graph import Graph, connected_components, is_complete, surgery
+from .graph import Graph, _closed_part, connected_components, is_complete, surgery
 from .oracle import verify_coloring
 
 
@@ -122,29 +124,18 @@ def _check_hypotheses(
     for comp in parts:
         if all(len(lists[v]) >= g.degree(v) + 1 for v in comp):
             continue
-        delta_c = max(g.degree(v) for v in comp)
-        if delta_c < 3:
-            return HypothesisReport(
-                ok=False,
-                failing_component=comp,
-                detail=f"component {comp[0]}...: max degree {delta_c} < 3 and some list"
-                " is not longer than its vertex's degree",
-            )
-        short = [v for v in comp if len(lists[v]) < delta_c]
-        if short:
-            return HypothesisReport(
-                ok=False,
-                failing_component=comp,
-                detail=f"component {comp[0]}...: vertex {short[0]} has fewer than"
-                f" {delta_c} colors",
-            )
-        if len(comp) == delta_c + 1 and is_complete(g, comp):
-            return HypothesisReport(
-                ok=False,
-                failing_component=comp,
-                detail=f"component {comp[0]}...: complete graph on {delta_c + 1}"
-                " vertices with lists of size exactly its degree",
-            )
+        d = max(g.degree(v) for v in comp)
+        short = [v for v in comp if len(lists[v]) < d]
+        if d < 3:
+            detail = f"max degree {d} < 3 and some list is not longer than its vertex's degree"
+        elif short:
+            detail = f"vertex {short[0]} has fewer than {d} colors"
+        elif len(comp) == d + 1 and is_complete(g, comp):
+            detail = f"complete graph on {d + 1} vertices with lists of size exactly its degree"
+        else:
+            continue
+        return HypothesisReport(ok=False, failing_component=comp,
+                                detail=f"component {comp[0]}...: {detail}")
     return HypothesisReport(ok=True)
 
 
@@ -286,9 +277,10 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     if not report.ok:
         raise HypothesisViolation(report.detail)
     colors: Coloring = {}
+    tight = _color_slack(g, lists, colors)
     for comp in parts:
-        sub = g if len(comp) == g.n else surgery(g, delete=set(g.vertices) - set(comp))
-        colors.update(_color_component(sub, lists))
+        if comp[0] not in colors:
+            _color_tight(_closed_part(tight, comp), lists, colors)
     defect = verify_coloring(g, lists, colors)
     if defect is not None:
         raise InternalInvariantBroken(f"solver output failed verification: {defect}")
@@ -309,29 +301,30 @@ def _slack_order(g: Graph, lists: ListAssignment) -> list[int]:
     return order
 
 
-def _color_component(g: Graph, lists: ListAssignment) -> Coloring:
-    # g is connected and satisfies (a) or (b). rounds holds the tight graph
-    # and its hole of each round, outermost first.
-    colors: Coloring = {}
+def _color_slack(g: Graph, lists: ListAssignment, colors: Coloring) -> Graph:
+    # Greedily colors every component of g that has a vertex with slack, into
+    # colors, and returns the rest of g: the components without slack.
+    order = _slack_order(g, lists)
+    colored = greedy_color_along(_closed_part(g, order), order, lists)
+    colors.update(colored)
+    return _closed_part(g, [v for v in g.vertices if v not in colored])
+
+
+def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
+    # g is a connected component without slack that satisfies (b): D-regular,
+    # lists of exactly D colors, not complete. rounds holds the tight graph and
+    # its hole of each round, outermost first.
     rounds: list[tuple[Graph, Hole]] = []
     try:
-        while True:
-            order = _slack_order(g, lists)
-            if len(order) == g.n:
-                colors.update(greedy_color_along(g, order, lists))
-                break
-            if order:
-                tight = surgery(g, delete=order)
-                colors.update(greedy_color_along(surgery(g, delete=tight.vertices), order, lists))
-                g = tight
+        while g.n:
             hole = chordality_certificate(g).hole
             if hole is None:
                 raise InternalInvariantBroken("a tight component is chordal, so complete")
             rounds.append((g, hole))
-            g, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
+            branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
+            g = _color_slack(branch, lists, colors)
         for outer, hole in reversed(rounds):
             star = residual_lists(outer, hole, lists, colors)
             colors.update(extend_around_cycle(hole, star))
     except (BothBranchesBlocked, NoStartPair, ResidualTooSmall) as exc:
         raise InternalInvariantBroken(str(exc)) from exc
-    return colors

@@ -10,7 +10,22 @@ import heapq
 import itertools
 from collections import deque
 
-from brookscolor import Graph, InfeasibleConfig, SplitMix64, build_graph
+from brookscolor import (
+    Graph,
+    HypothesisViolation,
+    InfeasibleConfig,
+    SplitMix64,
+    build_branch_pair,
+    build_graph,
+    check_hypotheses,
+    chordality_certificate,
+    connected_components,
+    extend_around_cycle,
+    greedy_color_along,
+    residual_lists,
+    select_branch,
+    surgery,
+)
 
 
 # ---------------------------------------------------------------- builders
@@ -313,3 +328,66 @@ QUADRATIC_GENERATORS = {
     "chordal-simplicial": chordal_simplicial_rescan,
     "gnp-capped": gnp_capped_every_draw,
 }
+
+
+def sample_copying(rng: SplitMix64, pool, k: int) -> list[int]:
+    """The first SplitMix64.sample: a partial Fisher-Yates shuffle of a copy."""
+    pool = list(pool)
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+# ------------------------------------------------ per-component solver
+# The solver's earlier orchestration, on the package's own certificate, branch,
+# greedy and cycle steps: each component is carved out of the whole graph with
+# surgery, then colored on its own by rounds of (slack greedy, carve off the
+# tight rest, certificate, branch). The package colors every slack component
+# in one pass and must give the same colors and hole rounds.
+
+def _slack_order(g: Graph, lists) -> list[int]:
+    order = [v for v in g.vertices if len(lists[v]) > g.degree(v)]
+    seen = set(order)
+    for v in order:
+        for u in g.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    order.reverse()
+    return order
+
+
+def _color_component_reference(g: Graph, lists) -> tuple[dict[int, int], int]:
+    colors: dict[int, int] = {}
+    rounds = []
+    while True:
+        order = _slack_order(g, lists)
+        if len(order) == g.n:
+            colors.update(greedy_color_along(g, order, lists))
+            break
+        if order:
+            tight = surgery(g, delete=order)
+            colors.update(greedy_color_along(surgery(g, delete=tight.vertices), order, lists))
+            g = tight
+        hole = chordality_certificate(g).hole
+        rounds.append((g, hole))
+        g, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
+    for outer, hole in reversed(rounds):
+        colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))
+    return colors, len(rounds)
+
+
+def brooks_per_component(g: Graph, lists) -> tuple[dict[int, int], int]:
+    """(coloring, number of hole rounds), one carved component at a time."""
+    report = check_hypotheses(g, lists)
+    if not report.ok:
+        raise HypothesisViolation(report.detail)
+    colors: dict[int, int] = {}
+    rounds = 0
+    for comp in connected_components(g).components:
+        sub = g if len(comp) == g.n else surgery(g, delete=set(g.vertices) - set(comp))
+        sub_colors, sub_rounds = _color_component_reference(sub, lists)
+        colors.update(sub_colors)
+        rounds += sub_rounds
+    return colors, rounds

@@ -156,6 +156,11 @@ def test_gen_defaults(capsys):
 def test_gen_infeasible_config_is_usage_error(capsys):
     code, _, err = run(capsys, ["gen", "--n", "5", "--delta", "0"])
     assert code == 64 and "usage error" in err
+    # a negative list size must not keep "all but the last |k|" palette colors
+    for extra in (["--list-size", "-3", "--palette", "10"], ["--palette", "-1"],
+                  ["--list-size", "1000001", "--palette", "2000000"]):
+        code, out, err = run(capsys, ["gen", "--n", "3", "--delta", "2", *extra])
+        assert code == 64 and "usage error" in err and out == "", extra
 
 
 def test_gen_vertex_cap_is_usage_error(capsys):
@@ -175,6 +180,28 @@ def test_seedrun_reports_counts(capsys):
     assert len(lines) == 5
     assert all(line.startswith("seed ") and line.endswith(" pass") for line in lines[:4])
     assert lines[-1] == "pass 4 fail 0"
+
+
+def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeypatch):
+    events = []
+    real_generate, real_color = cli.generate, cli.brooks_list_color
+
+    def generate(config):
+        events.append("generate")
+        return real_generate(config)
+
+    def color(g, lists):
+        assert events[-1] == "generate"  # the instance just generated, nothing queued
+        events.append("color")
+        return real_color(g, lists)
+
+    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(cli, "brooks_list_color", color)
+    code, out, _ = run(capsys, ["color", "--seedrun", "5", "--n", "12", "--delta", "3",
+                                "--seed", "1"])
+    assert code == 0 and out.splitlines()[-1] == "pass 5 fail 0"
+    assert events.count("color") == 5
+    assert events.index("color") < len(events) - 1 - events[::-1].index("generate")
 
 
 def test_seedrun_with_file_is_usage_error(capsys, c5_file):

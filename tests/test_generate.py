@@ -20,7 +20,7 @@ from brookscolor import (
 from brookscolor.generate import MAX_GNP_VERTICES
 from brookscolor.instance_io import MAX_VERTICES
 
-from reference import QUADRATIC_GENERATORS
+from reference import QUADRATIC_GENERATORS, sample_copying
 
 
 def test_splitmix64_known_stream():
@@ -95,6 +95,11 @@ def test_infeasible_configs():
         generate(GeneratorConfig(n=4, delta=3, list_size=9, palette=4))
     with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=4, delta=3, model="no-such-model"))
+    for palette, list_size in ((10, -3), (-1, -3), (-5, 0), (10**12, MAX_VERTICES + 1)):
+        with pytest.raises(InfeasibleConfig):
+            generate(GeneratorConfig(n=3, delta=2, palette=palette, list_size=list_size))
+        with pytest.raises(InfeasibleConfig):
+            random_lists((1, 2, 3), palette=palette, list_size=list_size, rng=0)
 
 
 def test_random_lists_sizes_and_range():
@@ -125,6 +130,21 @@ def test_splitmix64_jump_matches_repeated_draws():
             stepped.next_u64()
         assert jumped.state == stepped.state, k
         assert jumped.next_u64() == stepped.next_u64(), k
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_sparse_sample_matches_copying_shuffle(seed, data):
+    pool = data.draw(st.lists(st.integers(), unique=True, max_size=40))
+    k = data.draw(st.integers(min_value=0, max_value=len(pool)))
+    sparse, copying = SplitMix64(seed), SplitMix64(seed)
+    assert sparse.sample(pool, k) == sample_copying(copying, pool, k)
+    assert sparse.state == copying.state
+
+
+def test_random_lists_draw_from_a_huge_palette():
+    # the palette is read by index, never built: 10**12 colors cost nothing
+    lists = random_lists((1, 2), palette=10**12, list_size=3, rng=7)
+    assert all(len(lists[v]) == 3 and max(lists[v]) <= 10**12 for v in (1, 2))
 
 
 def test_generate_refuses_n_over_the_parser_cap():

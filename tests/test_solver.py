@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -30,10 +31,11 @@ from brookscolor import (
     uniform_lists,
     verify_coloring,
 )
-from brookscolor import solver
+from brookscolor import Graph, solver
 
 from reference import (
     all_cycle_colorings,
+    brooks_per_component,
     circulant_graph,
     complete_bipartite,
     complete_graph,
@@ -457,3 +459,112 @@ def test_brooks_leaves_recursion_limit_alone():
     lists = uniform_lists(g, 3)
     assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
     assert sys.getrecursionlimit() == limit
+
+
+# ------------------------------------------------ one slack pass, then rounds
+# Components with slack are colored by one greedy pass over the whole input;
+# only tight components get hole rounds. The output must match the earlier
+# per-component solver (tests/reference.py) on disjoint unions.
+
+UNION_TIGHT = {
+    "petersen": petersen_graph,
+    "ff-10": lambda: build_graph(10, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 5), (2, 6),
+                                      (3, 5), (3, 6), (4, 9), (4, 10), (6, 10), (7, 8),
+                                      (7, 9), (8, 9), (8, 10)]),
+    "four-rounds-22": lambda: build_graph(22, [
+        (1, 2), (1, 20), (1, 22), (2, 5), (2, 9), (3, 10), (3, 17), (3, 22), (4, 7),
+        (4, 8), (4, 12), (5, 14), (5, 18), (6, 15), (6, 18), (6, 21), (7, 12), (7, 17),
+        (8, 10), (8, 19), (9, 15), (9, 21), (10, 13), (11, 14), (11, 16), (11, 20),
+        (12, 17), (13, 19), (13, 22), (14, 16), (15, 21), (16, 20), (18, 19)]),
+    "h-8": lambda: build_graph(8, [(1, 2), (1, 3), (1, 7), (2, 7), (2, 8), (3, 4), (3, 5),
+                                   (4, 5), (4, 6), (5, 6), (6, 8), (7, 8)]),
+    "prism-5": lambda: generalized_petersen(5, 1),
+    "circulant-10": lambda: circulant_graph(10, (1, 2)),
+    "k33": lambda: complete_bipartite(3, 3),
+}
+
+
+def _union_piece(rng: random.Random):
+    """A small graph with lists that pass the hypotheses: a tight graph (lists
+    of exactly its degree), the same with one roomy list, or a slack piece."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        g = UNION_TIGHT[rng.choice(sorted(UNION_TIGHT))]()
+        delta = max_degree(g)
+        palette = list(range(1, delta + 2 + rng.randrange(2)))
+        lists = {v: frozenset(rng.sample(palette, delta)) for v in g.vertices}
+        if kind == 1:
+            lists[rng.choice(g.vertices)] = frozenset(palette[:delta + 1])
+        return g, lists
+    if kind == 2:
+        g = build_graph(2, [(1, 2)])
+        return g, uniform_lists(g, 2)
+    g, _ = generate(GeneratorConfig(n=rng.randrange(1, 30), delta=rng.randrange(2, 5),
+                                    seed=rng.randrange(1000)))
+    palette = list(range(1, 8))
+    return g, {v: frozenset(rng.sample(palette, g.degree(v) + 1)) for v in g.vertices}
+
+
+def _shuffled_union(rng: random.Random, pieces):
+    """Disjoint union of the pieces on interleaved, non-contiguous ids; each
+    piece's ids are shuffled, or kept in order so that its pinned hole rounds
+    stay as they are."""
+    total = sum(g.n for g, _ in pieces)
+    ids = rng.sample(range(10 * total + 10), total)
+    vertices, edges, lists = [], [], {}
+    for g, piece_lists in pieces:
+        mine, ids = ids[:g.n], ids[g.n:]
+        if rng.randrange(2):
+            mine.sort()
+        new = dict(zip(g.vertices, mine))
+        vertices += new.values()
+        edges += [(new[u], new[v]) for u, v in g.edges()]
+        lists.update({new[v]: piece_lists[v] for v in g.vertices})
+    return build_graph(vertices, edges), lists
+
+
+def test_brooks_matches_per_component_reference_on_disjoint_unions(monkeypatch):
+    rounds = []
+    real = solver.build_branch_pair
+
+    def spy(g, hole):
+        rounds.append(hole)
+        return real(g, hole)
+
+    monkeypatch.setattr(solver, "build_branch_pair", spy)
+    total_rounds = most_rounds = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        count = rng.randrange(1, 7)
+        g, lists = _shuffled_union(rng, [_union_piece(rng) for _ in range(count)])
+        assert check_hypotheses(g, lists).ok
+        want, want_rounds = brooks_per_component(g, lists)
+        rounds.clear()
+        assert brooks_list_color(g, lists) == want, seed
+        assert len(rounds) == want_rounds, seed
+        most_rounds = max(most_rounds, want_rounds)
+        total_rounds += want_rounds
+    assert total_rounds >= 300 and most_rounds >= 4
+
+
+def test_brooks_work_is_linear_in_many_components(monkeypatch):
+    # 2 000 disjoint edges (slack) and 200 Petersen copies (tight). Every pass
+    # over a graph reads its vertex tuple, so the total length read counts the
+    # work of those passes; carving each component out of the whole graph
+    # would read about 2n per component.
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(2000)]
+    pet = petersen_graph()
+    for c in range(200):
+        edges += [(4000 + 10 * c + u, 4000 + 10 * c + v) for u, v in pet.edges()]
+    g = build_graph(6000, edges)
+    lists = {v: frozenset({1, 2} if v <= 4000 else {1, 2, 3}) for v in g.vertices}
+    read = [0]
+
+    def vertices(self):
+        read[0] += len(self._vertices)
+        return self._vertices
+
+    monkeypatch.setattr(Graph, "vertices", property(vertices))
+    phi = brooks_list_color(g, lists)
+    assert read[0] <= 20 * g.n, read[0]  # 8.8 n; 4 408 n if each component is carved out
+    assert verify_coloring(g, lists, phi) is None
