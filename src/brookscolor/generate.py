@@ -75,6 +75,8 @@ class SplitMix64:
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
 # gnp-capped walks up to n**2 / 2 pairs when p is small, so n is capped lower.
 MAX_GNP_VERTICES = 10_000
+# All lists together hold n * list_size colors, so their total is capped too.
+MAX_LIST_ENTRIES = 10_000_000
 
 
 class GeneratorConfig(NamedTuple):
@@ -207,18 +209,21 @@ def random_lists(
     rng: SplitMix64 | int,
 ) -> ListAssignment:
     """Uniform random list_size-subsets of {1..palette}, per vertex ascending."""
-    _check_list_params(palette, list_size)
+    _check_list_params(len(vertices), palette, list_size)
     if isinstance(rng, int):
         rng = SplitMix64(rng)
     colors = range(1, palette + 1)
     return {v: frozenset(rng.sample(colors, list_size)) for v in sorted(vertices)}
 
 
-def _check_list_params(palette: int, list_size: int) -> None:
+def _check_list_params(n: int, palette: int, list_size: int) -> None:
     # no vertex can need more colors than the vertex cap
     if not 0 <= list_size <= min(palette, MAX_VERTICES):
         raise InfeasibleConfig(f"list size {list_size} must be in 0..palette ({palette})"
                                f" and at most {MAX_VERTICES}")
+    if n * list_size > MAX_LIST_ENTRIES:
+        raise InfeasibleConfig(f"{n} lists of {list_size} colors exceed"
+                               f" {MAX_LIST_ENTRIES} list entries")
 
 
 def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
@@ -231,7 +236,7 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
         raise InfeasibleConfig(f"unknown model {config.model!r} (choose from {MODELS})")
     if config.model == "gnp-capped" and config.n > MAX_GNP_VERTICES:
         raise InfeasibleConfig(f"gnp-capped n must be at most {MAX_GNP_VERTICES}")
-    _check_list_params(config.palette, config.list_size)
+    _check_list_params(config.n, config.palette, config.list_size)
     if config.n > 1 and config.delta < 1:
         raise InfeasibleConfig("delta 0 only allows a single vertex")
     rng = SplitMix64(config.seed)

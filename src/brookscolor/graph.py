@@ -32,7 +32,8 @@ class Graph:
     """Simple undirected graph, immutable once built.
 
     Construct through :func:`build_graph` or :func:`surgery`; the constructor
-    trusts its adjacency argument to be symmetric and loop-free.
+    trusts its adjacency argument to be symmetric and loop-free. The neighbor
+    dict holds its keys in ascending id order.
     """
 
     __slots__ = ("_vertices", "_neighbors", "_neighbor_sets", "_m")
@@ -189,7 +190,11 @@ def surgery(
     """Induced subgraph on V(g) minus `delete`, plus the edges in `add_edges`.
 
     Surviving vertices keep their ids, so the original graph and any number
-    of derived graphs can be used side by side.
+    of derived graphs can be used side by side. Cost: one C-level copy of g's
+    neighbor dict, which shares every neighbor tuple, plus Python work only
+    for what the surgery touches: the deleted vertices' neighbor tuples and
+    the rebuilt tuples of their surviving neighbors and of the added edges'
+    endpoints.
     """
     doomed = frozenset(delete)
     for v in doomed:
@@ -206,12 +211,23 @@ def surgery(
                 raise UnknownVertex(f"added edge ({u}, {v}) uses unknown vertex {x}")
         additions.setdefault(u, []).append(v)
         additions.setdefault(v, []).append(u)
-    vertices = tuple(v for v in g.vertices if v not in doomed)
-    neighbors = {v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices}
-    for v, extra in additions.items():
-        neighbors[v] = tuple(sorted(set(neighbors[v]).union(extra)))
-    m = sum(len(nbrs) for nbrs in neighbors.values()) // 2
-    return Graph._from_parts(vertices, neighbors, m)
+    old = g._neighbors
+    neighbors = old.copy()  # C-level copy: every untouched tuple is shared
+    twice_m = 2 * g.m
+    touched = set(additions)
+    for v in doomed:
+        lost = neighbors.pop(v)
+        twice_m -= len(lost)
+        touched.update(lost)
+    for v in touched - doomed:
+        nbrs = [u for u in old[v] if u not in doomed]
+        if v in additions:
+            nbrs = sorted(set(nbrs).union(additions[v]))
+        neighbors[v] = tuple(nbrs)
+        twice_m += len(nbrs) - len(old[v])
+    # the keys keep g's ascending order, so they are the surviving vertices
+    vertices = tuple(neighbors) if doomed else g.vertices
+    return Graph._from_parts(vertices, neighbors, twice_m // 2)
 
 
 def _closed_part(g: Graph, part: Collection[int]) -> Graph:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .chordal import Coloring, ListAssignment
 from .graph import Graph
@@ -66,33 +66,30 @@ def brute_force_list_color(
     have been tried. Intended for roughly a dozen vertices or fewer.
     """
     verts = g.vertices
-    options = {v: sorted(lists[v]) for v in verts}
+    n = len(verts)
+    options = [sorted(lists[v]) for v in verts]
+    # An explicit stack: untried[i] yields the colors of verts[i] not tried
+    # yet, taken[i] holds those of its neighbors earlier in the order.
+    untried: list[Iterator[int]] = [iter(())] * n
+    taken: list[set[int]] = [set()] * n
     phi: Coloring = {}
     decisions = 0
-
-    class _Limit(Exception):
-        pass
-
-    def backtrack(idx: int) -> bool:
-        nonlocal decisions
-        if idx == len(verts):
-            return True
-        v = verts[idx]
-        taken = {phi[u] for u in g.neighbors(v) if u in phi}
-        for color in options[v]:
+    i = 0
+    entering = True
+    while 0 <= i < n:
+        v = verts[i]
+        if entering:
+            untried[i] = iter(options[i])
+            taken[i] = {phi[u] for u in g.neighbors(v) if u in phi}
+        else:
+            del phi[v]  # the deeper search failed under this color
+        for color in untried[i]:
             decisions += 1
             if decisions > node_limit:
-                raise _Limit
-            if color in taken:
-                continue
-            phi[v] = color
-            if backtrack(idx + 1):
-                return True
-            del phi[v]
-        return False
-
-    try:
-        found = backtrack(0)
-    except _Limit:
-        return OracleOutcome.LIMIT_EXCEEDED
-    return dict(phi) if found else OracleOutcome.UNSATISFIABLE
+                return OracleOutcome.LIMIT_EXCEEDED
+            if color not in taken[i]:
+                phi[v] = color
+                break
+        entering = v in phi
+        i += 1 if entering else -1
+    return dict(phi) if i == n else OracleOutcome.UNSATISFIABLE

@@ -16,16 +16,18 @@ one round per hole x_1..x_k:
     H = G - ({x_5..x_k, x_1}) + edge (x_2, x_4)
 
 One branch has no complete component on D+1 vertices. Its components with
-slack are colored greedily; the next round runs on the one left tight, which
-holds the retained cycle triple. Then the holes are recolored innermost
-first from their lists minus the colors of neighbors outside the cycle (at
-least two colors each), walking each cycle once from a start pair whose
-existence the retained triangle guarantees.
+slack are colored greedily, searched from the neighbors of the deleted hole
+vertices, the only vertices that can have gained slack; the next round runs
+on the one left tight, which holds the retained cycle triple. Each round's
+graph is derived by touch-only surgery. Then the holes are recolored
+innermost first from their lists minus the colors of neighbors outside the
+cycle (at least two colors each), walking each cycle once from a start pair
+whose existence the retained triangle guarantees.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .chordal import (
     Coloring,
@@ -277,7 +279,7 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     if not report.ok:
         raise HypothesisViolation(report.detail)
     colors: Coloring = {}
-    tight = _color_slack(g, lists, colors)
+    tight = _color_slack(g, lists, colors, g.vertices)
     for comp in parts:
         if comp[0] not in colors:
             _color_tight(_closed_part(tight, comp), lists, colors)
@@ -287,10 +289,11 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def _slack_order(g: Graph, lists: ListAssignment) -> list[int]:
-    """The vertices reachable from a vertex whose list beats its degree, in
-    reverse breadth-first visit order from all such vertices at once."""
-    order = [v for v in g.vertices if len(lists[v]) > g.degree(v)]
+def _slack_order(g: Graph, lists: ListAssignment, sources: Iterable[int]) -> list[int]:
+    """The vertices reachable from a source whose list beats its degree, in
+    reverse breadth-first visit order from all such sources at once. sources
+    ascend and hold every vertex of g with slack."""
+    order = [v for v in sources if len(lists[v]) > g.degree(v)]
     seen = set(order)
     for v in order:  # the list grows while it is scanned: a queue
         for u in g.neighbors(v):
@@ -301,13 +304,18 @@ def _slack_order(g: Graph, lists: ListAssignment) -> list[int]:
     return order
 
 
-def _color_slack(g: Graph, lists: ListAssignment, colors: Coloring) -> Graph:
-    # Greedily colors every component of g that has a vertex with slack, into
-    # colors, and returns the rest of g: the components without slack.
-    order = _slack_order(g, lists)
+def _color_slack(
+    g: Graph, lists: ListAssignment, colors: Coloring, sources: Iterable[int]
+) -> Graph:
+    # Greedily colors every component of g that has a vertex with slack (all
+    # of them among sources), into colors, and returns the rest of g: the
+    # components without slack.
+    order = _slack_order(g, lists, sources)
     colored = greedy_color_along(_closed_part(g, order), order, lists)
     colors.update(colored)
-    return _closed_part(g, [v for v in g.vertices if v not in colored])
+    if len(colored) == g.n:
+        return Graph({})
+    return surgery(g, delete=colored) if colored else g
 
 
 def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
@@ -322,7 +330,9 @@ def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
                 raise InternalInvariantBroken("a tight component is chordal, so complete")
             rounds.append((g, hole))
             branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
-            g = _color_slack(branch, lists, colors)
+            sources = sorted({u for x in hole.cycle if not branch.has_vertex(x)
+                              for u in g.neighbors(x) if branch.has_vertex(u)})
+            g = _color_slack(branch, lists, colors, sources)
         for outer, hole in reversed(rounds):
             star = residual_lists(outer, hole, lists, colors)
             colors.update(extend_around_cycle(hole, star))

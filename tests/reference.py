@@ -10,11 +10,17 @@ import heapq
 import itertools
 from collections import deque
 
+from typing import Iterable
+
 from brookscolor import (
+    EndpointDeleted,
     Graph,
     HypothesisViolation,
     InfeasibleConfig,
+    OracleOutcome,
+    SelfLoop,
     SplitMix64,
+    UnknownVertex,
     build_branch_pair,
     build_graph,
     check_hypotheses,
@@ -24,7 +30,6 @@ from brookscolor import (
     greedy_color_along,
     residual_lists,
     select_branch,
-    surgery,
 )
 
 
@@ -367,8 +372,9 @@ def _color_component_reference(g: Graph, lists) -> tuple[dict[int, int], int]:
             colors.update(greedy_color_along(g, order, lists))
             break
         if order:
-            tight = surgery(g, delete=order)
-            colors.update(greedy_color_along(surgery(g, delete=tight.vertices), order, lists))
+            tight = surgery_rebuild(g, delete=order)
+            colors.update(greedy_color_along(surgery_rebuild(g, delete=tight.vertices), order,
+                                             lists))
             g = tight
         hole = chordality_certificate(g).hole
         rounds.append((g, hole))
@@ -386,8 +392,79 @@ def brooks_per_component(g: Graph, lists) -> tuple[dict[int, int], int]:
     colors: dict[int, int] = {}
     rounds = 0
     for comp in connected_components(g).components:
-        sub = g if len(comp) == g.n else surgery(g, delete=set(g.vertices) - set(comp))
+        sub = g if len(comp) == g.n else surgery_rebuild(g, delete=set(g.vertices) - set(comp))
         sub_colors, sub_rounds = _color_component_reference(sub, lists)
         colors.update(sub_colors)
         rounds += sub_rounds
     return colors, rounds
+
+
+# ------------------------------------------------------ rebuilding surgery
+# surgery's first form: every surviving vertex's neighbor tuple is rebuilt and
+# m is recounted. The package's touch-only surgery must give the same graph,
+# or the same exception with the same message.
+
+def surgery_rebuild(
+    g: Graph,
+    delete: Iterable[int] = (),
+    add_edges: Iterable[tuple[int, int]] = (),
+) -> Graph:
+    doomed = frozenset(delete)
+    for v in doomed:
+        if not g.has_vertex(v):
+            raise UnknownVertex(f"cannot delete unknown vertex {v}")
+    additions: dict[int, list[int]] = {}
+    for u, v in add_edges:
+        if u == v:
+            raise SelfLoop(f"added edge ({u}, {v}) is a self-loop")
+        for x in (u, v):
+            if x in doomed:
+                raise EndpointDeleted(f"added edge ({u}, {v}) uses deleted vertex {x}")
+            if not g.has_vertex(x):
+                raise UnknownVertex(f"added edge ({u}, {v}) uses unknown vertex {x}")
+        additions.setdefault(u, []).append(v)
+        additions.setdefault(v, []).append(u)
+    vertices = tuple(v for v in g.vertices if v not in doomed)
+    neighbors = {v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices}
+    for v, extra in additions.items():
+        neighbors[v] = tuple(sorted(set(neighbors[v]).union(extra)))
+    m = sum(len(nbrs) for nbrs in neighbors.values()) // 2
+    return Graph._from_parts(vertices, neighbors, m)
+
+
+# ------------------------------------------------------- recursive oracle
+# The oracle's first form recursed once per vertex; the package's explicit
+# stack must find the same coloring and give up after the same decision.
+
+def brute_force_recursive(g: Graph, lists, node_limit: int = 10_000_000):
+    verts = g.vertices
+    options = {v: sorted(lists[v]) for v in verts}
+    phi: dict[int, int] = {}
+    decisions = 0
+
+    class _Limit(Exception):
+        pass
+
+    def backtrack(idx: int) -> bool:
+        nonlocal decisions
+        if idx == len(verts):
+            return True
+        v = verts[idx]
+        taken = {phi[u] for u in g.neighbors(v) if u in phi}
+        for color in options[v]:
+            decisions += 1
+            if decisions > node_limit:
+                raise _Limit
+            if color in taken:
+                continue
+            phi[v] = color
+            if backtrack(idx + 1):
+                return True
+            del phi[v]
+        return False
+
+    try:
+        found = backtrack(0)
+    except _Limit:
+        return OracleOutcome.LIMIT_EXCEEDED
+    return dict(phi) if found else OracleOutcome.UNSATISFIABLE

@@ -130,6 +130,17 @@ def test_oracle_solves_and_unsat_and_limit(capsys, tmp_path):
     assert code == 5 and out == "limit-exceeded\n"
 
 
+def test_oracle_on_a_long_path(capsys, tmp_path):
+    # one stack frame per vertex would overflow the interpreter's stack here
+    g = path_graph(5000)
+    lists = uniform_lists(g, 2)
+    path = tmp_path / "p5000.col"
+    path.write_text(emit_instance(g, lists))
+    code, out, _ = run(capsys, ["oracle", str(path)])
+    assert code == 0
+    assert verify_coloring(g, lists, parse_coloring(out)) is None
+
+
 def test_oracle_without_lists_is_usage_error(capsys, petersen_file):
     code, _, err = run(capsys, ["oracle", petersen_file])
     assert code == 64 and "usage error" in err
@@ -153,12 +164,14 @@ def test_gen_defaults(capsys):
     assert all(len(lists[v]) == 4 for v in g.vertices)  # default list size = delta
 
 
-def test_gen_infeasible_config_is_usage_error(capsys):
+def test_gen_infeasible_config_is_usage_error(capsys, no_list_draws):
     code, _, err = run(capsys, ["gen", "--n", "5", "--delta", "0"])
     assert code == 64 and "usage error" in err
     # a negative list size must not keep "all but the last |k|" palette colors
     for extra in (["--list-size", "-3", "--palette", "10"], ["--palette", "-1"],
-                  ["--list-size", "1000001", "--palette", "2000000"]):
+                  ["--list-size", "1000001", "--palette", "2000000"],
+                  # 10**12 list entries in all
+                  ["--n", "1000000", "--list-size", "1000000", "--palette", "1000000"]):
         code, out, err = run(capsys, ["gen", "--n", "3", "--delta", "2", *extra])
         assert code == 64 and "usage error" in err and out == "", extra
 

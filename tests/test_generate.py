@@ -17,7 +17,7 @@ from brookscolor import (
     random_lists,
     verify_peo,
 )
-from brookscolor.generate import MAX_GNP_VERTICES
+from brookscolor.generate import MAX_GNP_VERTICES, MAX_LIST_ENTRIES
 from brookscolor.instance_io import MAX_VERTICES
 
 from reference import QUADRATIC_GENERATORS, sample_copying
@@ -82,7 +82,7 @@ def test_chordal_simplicial_is_chordal_with_peo_insertion_order(seed):
     assert verify_peo(g, list(range(1, n + 1))) is None
 
 
-def test_infeasible_configs():
+def test_infeasible_configs(no_list_draws):
     with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=0, delta=3))
     with pytest.raises(InfeasibleConfig):
@@ -95,11 +95,15 @@ def test_infeasible_configs():
         generate(GeneratorConfig(n=4, delta=3, list_size=9, palette=4))
     with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=4, delta=3, model="no-such-model"))
-    for palette, list_size in ((10, -3), (-1, -3), (-5, 0), (10**12, MAX_VERTICES + 1)):
+    for n, palette, list_size in ((3, 10, -3), (3, -1, -3), (3, -5, 0),
+                                  (3, 10**12, MAX_VERTICES + 1),
+                                  # more list entries in all than the cap
+                                  (MAX_VERTICES, 10**6, 10**6),
+                                  (10**4, 2 * 10**4, MAX_LIST_ENTRIES // 10**4 + 1)):
         with pytest.raises(InfeasibleConfig):
-            generate(GeneratorConfig(n=3, delta=2, palette=palette, list_size=list_size))
+            generate(GeneratorConfig(n=n, delta=2, palette=palette, list_size=list_size))
         with pytest.raises(InfeasibleConfig):
-            random_lists((1, 2, 3), palette=palette, list_size=list_size, rng=0)
+            random_lists(range(1, n + 1), palette=palette, list_size=list_size, rng=0)
 
 
 def test_random_lists_sizes_and_range():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from brookscolor import (
     EndpointDeleted,
+    GraphError,
     SelfLoop,
     UnknownVertex,
     build_graph,
@@ -13,8 +14,8 @@ from brookscolor import (
     surgery,
 )
 
-from reference import bfs_reachable, complete_graph, cycle_graph, path_graph
-from strategies import graphs
+from reference import bfs_reachable, complete_graph, cycle_graph, path_graph, surgery_rebuild
+from strategies import graphs, relabelled
 
 
 def test_build_path():
@@ -146,6 +147,35 @@ def test_surgery_edge_equation(g, data):
     assert set(h.edges()) == expected
     # degree never grows under pure deletion
     assert max_degree(surgery(g, delete=doomed)) <= max_degree(g)
+
+
+def _snapshot(g):
+    return g.vertices, {v: g.neighbors(v) for v in g.vertices}, g.m
+
+
+@given(relabelled(graphs()), st.data())
+def test_surgery_matches_rebuilding_reference(g, data):
+    # touch-only surgery against the rebuild-everything form, on shuffled
+    # non-contiguous ids; invalid calls may name unknown ids, self-loops or
+    # deleted endpoints and must fail the same way
+    ids = list(g.vertices)
+    valid = data.draw(st.booleans())
+    pool = ids if valid else ids + data.draw(st.lists(
+        st.integers(0, 10 * g.n + 20).filter(lambda v: v not in ids), min_size=1, max_size=2))
+    delete = data.draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
+    ends = [v for v in pool if not valid or v not in delete]
+    pairs = [(u, v) for u in ends for v in ends if not valid or u != v]
+    added = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    before = _snapshot(g)
+    try:
+        want = _snapshot(surgery_rebuild(g, delete, added))
+    except GraphError as exc:
+        with pytest.raises(type(exc)) as got:
+            surgery(g, delete, added)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert _snapshot(surgery(g, delete, added)) == want
+    assert _snapshot(g) == before
 
 
 @given(graphs())

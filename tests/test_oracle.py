@@ -12,7 +12,7 @@ from brookscolor import (
     verify_coloring,
 )
 
-from reference import complete_graph, cycle_graph, path_graph
+from reference import brute_force_recursive, complete_graph, cycle_graph, path_graph
 from strategies import graphs, list_assignments
 
 
@@ -86,3 +86,13 @@ def test_brute_force_output_always_verifies(g, data):
     result = brute_force_list_color(g, lists)
     if isinstance(result, dict):
         assert verify_coloring(g, lists, result) is None
+
+
+@given(graphs(max_n=7), st.data())
+def test_brute_force_matches_recursive_reference(g, data):
+    # same first coloring, and the limit fires after the same decision: most
+    # searches here end within 40 decisions, the rest are cut at each of them
+    lists = data.draw(list_assignments(g, min_size=0, max_size=3, palette=4))
+    for limit in (*range(40), 10_000_000):
+        assert brute_force_list_color(g, lists, limit) == brute_force_recursive(g, lists, limit)
+

@@ -568,3 +568,43 @@ def test_brooks_work_is_linear_in_many_components(monkeypatch):
     phi = brooks_list_color(g, lists)
     assert read[0] <= 20 * g.n, read[0]  # 8.8 n; 4 408 n if each component is carved out
     assert verify_coloring(g, lists, phi) is None
+
+
+# ------------------------------------------------ touch-only hole rounds
+# A round changes only the hole's neighborhood, so after the one pass over
+# the input each round should cost about what it touches, not n.
+
+def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
+    # the 22-vertex four-round pin spliced into a prism C_1000 x K_2 on ids
+    # 23..2 022: core edge (1, 22) and prism edge (23, 24) become (1, 23) and
+    # (22, 24). The rounds stay those of the pin, on a graph 2 000 larger.
+    edges = [e for e in UNION_TIGHT["four-rounds-22"]().edges() if e != (1, 22)]
+    for ring in (23, 1023):
+        edges += [(ring + i, ring + (i + 1) % 1000) for i in range(1000)]
+    edges += [(a, a + 1000) for a in range(23, 1023)]
+    edges.remove((23, 24))
+    edges += [(1, 23), (22, 24)]
+    g = build_graph(2022, edges)
+    assert all(g.degree(v) == 3 for v in g.vertices)
+    sizes = []
+    real = solver.build_branch_pair
+
+    def spy(tight, hole):
+        sizes.append(tight.n)
+        return real(tight, hole)
+
+    monkeypatch.setattr(solver, "build_branch_pair", spy)
+    reads = [0]
+    neighbors = Graph.neighbors
+
+    def counted(self, v):
+        reads[0] += 1
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counted)
+    lists = uniform_lists(g, 3)
+    phi = brooks_list_color(g, lists)
+    assert branch_picks == ["F", "F", "F", "F"]
+    assert sizes == [2022, 2018, 2014, 2010]
+    assert reads[0] <= 10 * g.n, reads[0]  # 6.1 n; 21 n if each round rebuilds the graph
+    assert verify_coloring(g, lists, phi) is None
