@@ -8,7 +8,6 @@ holes, colorings) are independently checkable.
 from .chordal import (
     ChordalityCertificate,
     Coloring,
-    EliminationOrder,
     Hole,
     InternalInvariantBroken,
     InvalidPeo,
@@ -34,7 +33,6 @@ from .generate import (
     random_lists,
 )
 from .graph import (
-    ComponentPartition,
     EndpointDeleted,
     Graph,
     GraphError,
@@ -69,7 +67,6 @@ from .solver import (
     InvalidHole,
     MissingList,
     NoStartPair,
-    ResidualLists,
     ResidualTooSmall,
     brooks_list_color,
     build_branch_pair,

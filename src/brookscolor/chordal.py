@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -47,23 +47,6 @@ class InternalInvariantBroken(Exception):
     """A state the underlying arguments rule out was reached; implementation bug."""
 
 
-class EliminationOrder:
-    """A vertex order, as a tuple."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: Iterable[int]):
-        self.order: tuple[int, ...] = tuple(order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EliminationOrder):
-            return NotImplemented
-        return self.order == other.order
-
-    def __repr__(self) -> str:
-        return f"EliminationOrder({list(self.order)!r})"
-
-
 class Hole(NamedTuple):
     """A chordless cycle x_1, ..., x_k with k >= 4, listed in cycle order."""
 
@@ -82,7 +65,7 @@ class ChordalityCertificate:
 
     __slots__ = ("peo", "hole")
 
-    def __init__(self, peo: EliminationOrder | None = None, hole: Hole | None = None):
+    def __init__(self, peo: tuple[int, ...] | None = None, hole: Hole | None = None):
         if (peo is None) == (hole is None):
             raise ValueError("certificate must carry exactly one of peo / hole")
         self.peo = peo
@@ -97,12 +80,6 @@ def uniform_lists(g: Graph, k: int) -> ListAssignment:
     """Every vertex gets the list {1, ..., k}."""
     colors = frozenset(range(1, k + 1))
     return {v: colors for v in g.vertices}
-
-
-def _as_order(order: EliminationOrder | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(order, EliminationOrder):
-        return order.order
-    return tuple(order)
 
 
 def _mcs(g: Graph) -> Iterator[int]:
@@ -135,14 +112,14 @@ def _mcs(g: Graph) -> Iterator[int]:
                     top = w
 
 
-def mcs_order(g: Graph) -> EliminationOrder:
+def mcs_order(g: Graph) -> tuple[int, ...]:
     """Maximum cardinality search visit order (an elimination-order candidate).
 
     Each step visits the vertex with the most already-visited neighbors,
     breaking ties toward the smallest id; the first vertex is the smallest id.
     For chordal graphs the result is a perfect elimination ordering.
     """
-    return EliminationOrder(_mcs(g))
+    return tuple(_mcs(g))
 
 
 def _violation(g: Graph, v: int, earlier: list[int], pos: dict[int, int]) -> PeoViolation | None:
@@ -167,13 +144,13 @@ def _violation(g: Graph, v: int, earlier: list[int], pos: dict[int, int]) -> Peo
     raise InternalInvariantBroken("reduced check failed but no bad pair found")
 
 
-def verify_peo(g: Graph, order: EliminationOrder | Sequence[int]) -> PeoViolation | None:
+def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
     """Check the elimination-order property; None if it holds.
 
     On failure, returns the violation at the earliest order position, with the
     lexicographically smallest non-adjacent pair of earlier neighbors.
     """
-    seq = _as_order(order)
+    seq = tuple(order)
     if len(seq) != g.n or set(seq) != set(g.vertices):
         raise NotAPermutation("order must be a permutation of the graph's vertices")
     pos = {v: i for i, v in enumerate(seq)}
@@ -238,7 +215,7 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
             break
         pos[v] = len(pos)
     else:
-        return ChordalityCertificate(peo=EliminationOrder(pos))
+        return ChordalityCertificate(peo=tuple(pos))
     hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)
     if hole is None:
         raise InternalInvariantBroken("order verification failed but no hole was found")
@@ -250,13 +227,13 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     return ChordalityCertificate(hole=Hole(cycle))
 
 
-def clique_number_from_peo(g: Graph, peo: EliminationOrder | Sequence[int]) -> int:
+def clique_number_from_peo(g: Graph, peo: Sequence[int]) -> int:
     """Clique number of a chordal graph, read off a verified elimination order.
 
     Every clique appears as some vertex together with its earlier neighbors,
     so the maximum of (1 + earlier degree) over the order is exact.
     """
-    seq = _as_order(peo)
+    seq = tuple(peo)
     if verify_peo(g, seq) is not None:
         raise InvalidPeo("order is not a perfect elimination ordering")
     pos = {v: i for i, v in enumerate(seq)}
@@ -268,18 +245,14 @@ def clique_number_from_peo(g: Graph, peo: EliminationOrder | Sequence[int]) -> i
     return best
 
 
-def greedy_color_along(
-    g: Graph,
-    order: EliminationOrder | Sequence[int],
-    lists: ListAssignment,
-) -> Coloring:
+def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment) -> Coloring:
     """Color vertices in the given order, smallest free list color first.
 
     Succeeds whenever some list color is free at every step; in particular
     along a perfect elimination ordering with lists of size >= clique number,
     and in any order when every list exceeds the vertex's degree.
     """
-    seq = _as_order(order)
+    seq = tuple(order)
     if len(seq) != g.n or set(seq) != set(g.vertices):
         raise NotAPermutation("order must be a permutation of the graph's vertices")
     colors: Coloring = {}

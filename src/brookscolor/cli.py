@@ -8,7 +8,6 @@ Exit codes: 0 success; 1 hole found (chordal); 2 hypothesis violation
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .chordal import chordality_certificate, uniform_lists
@@ -27,8 +26,6 @@ EXIT_UNSAT = 4
 EXIT_LIMIT = 5
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-THREADS_ENV = "BROOKS_COLOR_THREADS"
 
 
 class _UsageError(Exception):
@@ -99,25 +96,11 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
     g, _ = parse_instance(_read(args.file))
     certificate = chordality_certificate(g)
     if certificate.peo is not None:
-        print(" ".join(["chordal", *map(str, certificate.peo.order)]).rstrip())
+        print(" ".join(["chordal", *map(str, certificate.peo)]).rstrip())
         return EXIT_OK
     assert certificate.hole is not None
     print(" ".join(["hole", *map(str, certificate.hole.cycle)]))
     return EXIT_HOLE
-
-
-def _threads() -> None:
-    # Validated only: batches run sequentially, because pure-Python solving
-    # holds the interpreter lock and threads made them slower.
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"{THREADS_ENV} must be positive, got {value}")
 
 
 def _cmd_seedrun(args: argparse.Namespace) -> int:
@@ -126,7 +109,6 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     count = args.seedrun
     if count < 1:
         raise _UsageError("--seedrun needs a positive instance count")
-    _threads()
     # seed by seed, so a batch holds one instance in memory at a time
     done = failed = 0
     for seed in range(args.seed, args.seed + 100 * count + 1000):
@@ -156,8 +138,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
         raise _UsageError("color needs an instance FILE (or --seedrun N)")
     # no vertex can need more colors than the vertex cap, so a larger K only
     # costs memory
-    if args.uniform is not None and args.uniform > MAX_VERTICES:
-        raise _UsageError(f"--uniform K must be at most {MAX_VERTICES}")
+    if args.uniform is not None and not 0 <= args.uniform <= MAX_VERTICES:
+        raise _UsageError(f"--uniform K must lie in 0..{MAX_VERTICES}")
     g, lists = parse_instance(_read(args.file))
     if args.uniform is not None:
         lists = uniform_lists(g, args.uniform)
@@ -188,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise _UsageError("--limit must not be negative")
     g, lists = parse_instance(_read(args.file))
     if lists is None:
         raise _UsageError("oracle needs an instance with 'l' color-list lines")
@@ -222,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             "gen": _cmd_gen,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InfeasibleConfig as exc:
+    except (_UsageError, InfeasibleConfig) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

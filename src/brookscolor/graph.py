@@ -9,7 +9,7 @@ computation reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -31,37 +31,20 @@ class EndpointDeleted(GraphError):
 class Graph:
     """Simple undirected graph, immutable once built.
 
-    Construct through :func:`build_graph` or :func:`surgery`; the constructor
-    trusts its adjacency argument to be symmetric and loop-free. The neighbor
-    dict holds its keys in ascending id order.
+    The one constructor is trusted: it takes a neighbor dict whose keys and
+    neighbor tuples are in ascending id order, symmetric and loop-free, and
+    keeps it as is. Build graphs through :func:`build_graph`, which sorts, or
+    :func:`surgery`.
     """
 
-    __slots__ = ("_vertices", "_neighbors", "_neighbor_sets", "_m")
+    __slots__ = ("_vertices", "_neighbors", "_neighbor_sets")
 
-    def __init__(self, adjacency: dict[int, Iterable[int]]):
-        self._vertices: tuple[int, ...] = tuple(sorted(adjacency))
-        self._neighbors: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(adjacency[v])) for v in self._vertices
-        }
+    def __init__(self, neighbors: dict[int, tuple[int, ...]]):
+        self._vertices: tuple[int, ...] = tuple(neighbors)
+        self._neighbors = neighbors
         # built per vertex on first neighbor_set() call; concurrent builds
         # race benignly (same value, atomic dict store)
         self._neighbor_sets: dict[int, frozenset[int]] = {}
-        self._m = sum(len(nbrs) for nbrs in self._neighbors.values()) // 2
-
-    @classmethod
-    def _from_parts(
-        cls,
-        vertices: tuple[int, ...],
-        neighbors: dict[int, tuple[int, ...]],
-        m: int,
-    ) -> Graph:
-        # trusted fast path: vertices and each neighbor tuple already sorted
-        g = cls.__new__(cls)
-        g._vertices = vertices
-        g._neighbors = neighbors
-        g._neighbor_sets = {}
-        g._m = m
-        return g
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -73,7 +56,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return sum(map(len, self._neighbors.values())) // 2
 
     def has_vertex(self, v: int) -> bool:
         return v in self._neighbors
@@ -115,12 +98,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class ComponentPartition(NamedTuple):
-    """Connected components as disjoint sorted id tuples covering the graph."""
-
-    components: tuple[tuple[int, ...], ...]
-
-
 def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph from a vertex-id collection (or a count n, meaning 1..n)
     and unordered edge pairs. Duplicate edges collapse silently.
@@ -143,7 +120,7 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
             raise UnknownVertex(f"edge endpoint {v} is not a declared vertex")
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return Graph(adjacency)
+    return Graph({v: tuple(sorted(adjacency[v])) for v in sorted(adjacency)})
 
 
 def max_degree(g: Graph) -> int:
@@ -151,8 +128,8 @@ def max_degree(g: Graph) -> int:
     return max((len(g.neighbors(v)) for v in g.vertices), default=0)
 
 
-def connected_components(g: Graph) -> ComponentPartition:
-    """Connected components, ordered by smallest contained id."""
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted id tuples, ordered by smallest id."""
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
     for start in g.vertices:
@@ -169,7 +146,7 @@ def connected_components(g: Graph) -> ComponentPartition:
                     comp.append(u)
                     queue.append(u)
         components.append(tuple(sorted(comp)))
-    return ComponentPartition(tuple(components))
+    return tuple(components)
 
 
 def is_complete(g: Graph, s: Iterable[int]) -> bool:
@@ -213,21 +190,15 @@ def surgery(
         additions.setdefault(v, []).append(u)
     old = g._neighbors
     neighbors = old.copy()  # C-level copy: every untouched tuple is shared
-    twice_m = 2 * g.m
     touched = set(additions)
     for v in doomed:
-        lost = neighbors.pop(v)
-        twice_m -= len(lost)
-        touched.update(lost)
+        touched.update(neighbors.pop(v))
     for v in touched - doomed:
         nbrs = [u for u in old[v] if u not in doomed]
         if v in additions:
             nbrs = sorted(set(nbrs).union(additions[v]))
         neighbors[v] = tuple(nbrs)
-        twice_m += len(nbrs) - len(old[v])
-    # the keys keep g's ascending order, so they are the surviving vertices
-    vertices = tuple(neighbors) if doomed else g.vertices
-    return Graph._from_parts(vertices, neighbors, twice_m // 2)
+    return Graph(neighbors)  # the keys keep g's ascending order
 
 
 def _closed_part(g: Graph, part: Collection[int]) -> Graph:
@@ -235,5 +206,4 @@ def _closed_part(g: Graph, part: Collection[int]) -> Graph:
     components), sharing g's neighbor tuples; g itself if part is all of g."""
     if len(part) == g.n:
         return g
-    neighbors = {v: g.neighbors(v) for v in sorted(part)}
-    return Graph._from_parts(tuple(neighbors), neighbors, sum(map(len, neighbors.values())) // 2)
+    return Graph({v: g.neighbors(v) for v in sorted(part)})

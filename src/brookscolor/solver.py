@@ -102,17 +102,11 @@ class BranchPair(NamedTuple):
     h_added_edge: tuple[int, int]  # (x_2, x_4)
 
 
-class ResidualLists(NamedTuple):
-    """Cycle-vertex lists after removing colors of neighbors outside the cycle."""
-
-    star_lists: dict[int, frozenset[int]]
-
-
 def check_hypotheses(g: Graph, lists: ListAssignment) -> HypothesisReport:
     """Per component: lists beat degrees, or lists reach the component's
     max degree D >= 3 and the component is not complete on D+1 vertices.
     """
-    return _check_hypotheses(g, lists, connected_components(g).components)
+    return _check_hypotheses(g, lists, connected_components(g))
 
 
 def _check_hypotheses(
@@ -202,24 +196,24 @@ def residual_lists(
     c: Hole,
     lists: ListAssignment,
     exterior_colors: Coloring,
-) -> ResidualLists:
+) -> ListAssignment:
     """Remove from each cycle vertex's list the colors of its already-colored
     neighbors outside the cycle. Each cycle vertex has at most its degree
     minus two such neighbors, so at least two colors always remain under the
     solver's hypotheses.
     """
     cyc = frozenset(c.cycle)
-    star: dict[int, frozenset[int]] = {}
+    star: ListAssignment = {}
     for xi in c.cycle:
         forbidden = {exterior_colors[u] for u in g.neighbors(xi) if u not in cyc}
         remaining = frozenset(lists[xi]) - forbidden
         if len(remaining) < 2:
             raise ResidualTooSmall(xi)
         star[xi] = remaining
-    return ResidualLists(star)
+    return star
 
 
-def extend_around_cycle(c: Hole, star: ResidualLists) -> Coloring:
+def extend_around_cycle(c: Hole, lists: ListAssignment) -> Coloring:
     """Proper coloring of the cycle from residual lists of size >= 2.
 
     Scans ordered adjacent pairs (a, b) -- the forward sweep from the stored
@@ -231,7 +225,6 @@ def extend_around_cycle(c: Hole, star: ResidualLists) -> Coloring:
     """
     x = c.cycle
     k = len(x)
-    lists = star.star_lists
     for xi in x:
         if len(lists[xi]) < 2:
             raise ResidualTooSmall(xi)
@@ -274,15 +267,15 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     The returned coloring is proper and drawn from the lists; this is
     verified once before returning.
     """
-    parts = connected_components(g).components
+    parts = connected_components(g)
     report = _check_hypotheses(g, lists, parts)
     if not report.ok:
         raise HypothesisViolation(report.detail)
     colors: Coloring = {}
-    tight = _color_slack(g, lists, colors, g.vertices)
+    _color_slack(g, lists, colors, g.vertices)
     for comp in parts:
         if comp[0] not in colors:
-            _color_tight(_closed_part(tight, comp), lists, colors)
+            _color_tight(_closed_part(g, comp), lists, colors)
     defect = verify_coloring(g, lists, colors)
     if defect is not None:
         raise InternalInvariantBroken(f"solver output failed verification: {defect}")
@@ -306,16 +299,13 @@ def _slack_order(g: Graph, lists: ListAssignment, sources: Iterable[int]) -> lis
 
 def _color_slack(
     g: Graph, lists: ListAssignment, colors: Coloring, sources: Iterable[int]
-) -> Graph:
+) -> Coloring:
     # Greedily colors every component of g that has a vertex with slack (all
-    # of them among sources), into colors, and returns the rest of g: the
-    # components without slack.
+    # of them among sources), into colors, and returns what it colored.
     order = _slack_order(g, lists, sources)
     colored = greedy_color_along(_closed_part(g, order), order, lists)
     colors.update(colored)
-    if len(colored) == g.n:
-        return Graph({})
-    return surgery(g, delete=colored) if colored else g
+    return colored
 
 
 def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
@@ -332,9 +322,9 @@ def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
             branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
             sources = sorted({u for x in hole.cycle if not branch.has_vertex(x)
                               for u in g.neighbors(x) if branch.has_vertex(u)})
-            g = _color_slack(branch, lists, colors, sources)
+            colored = _color_slack(branch, lists, colors, sources)
+            g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph({})
         for outer, hole in reversed(rounds):
-            star = residual_lists(outer, hole, lists, colors)
-            colors.update(extend_around_cycle(hole, star))
+            colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))
     except (BothBranchesBlocked, NoStartPair, ResidualTooSmall) as exc:
         raise InternalInvariantBroken(str(exc)) from exc

@@ -391,7 +391,7 @@ def brooks_per_component(g: Graph, lists) -> tuple[dict[int, int], int]:
         raise HypothesisViolation(report.detail)
     colors: dict[int, int] = {}
     rounds = 0
-    for comp in connected_components(g).components:
+    for comp in connected_components(g):
         sub = g if len(comp) == g.n else surgery_rebuild(g, delete=set(g.vertices) - set(comp))
         sub_colors, sub_rounds = _color_component_reference(sub, lists)
         colors.update(sub_colors)
@@ -428,8 +428,7 @@ def surgery_rebuild(
     neighbors = {v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices}
     for v, extra in additions.items():
         neighbors[v] = tuple(sorted(set(neighbors[v]).union(extra)))
-    m = sum(len(nbrs) for nbrs in neighbors.values()) // 2
-    return Graph._from_parts(vertices, neighbors, m)
+    return Graph(neighbors)
 
 
 # ------------------------------------------------------- recursive oracle

@@ -245,12 +245,6 @@ def test_seedrun_names_the_exception_of_a_failed_seed(capsys, monkeypatch):
     assert lines[-1] == "pass 0 fail 2"
 
 
-def test_seedrun_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("BROOKS_COLOR_THREADS", "zero")
-    code, _, err = run(capsys, ["color", "--seedrun", "2"])
-    assert code == 64 and "BROOKS_COLOR_THREADS" in err
-
-
 def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, [])[0] == 64
     assert run(capsys, ["frobnicate"])[0] == 64
@@ -262,6 +256,18 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     for k in ("100000000000", "1000001"):
         code, out, err = run(capsys, ["color", str(edge), "--uniform", k])
         assert code == 64 and out == "" and "--uniform" in err
+    monkeypatch.setattr(cli, "_read", None)  # negative counts are refused before any read
+    for argv in (["color", str(edge), "--uniform", "-1"], ["oracle", str(edge), "--limit", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == "" and argv[-2] in err, argv
+
+
+def test_zero_counts_keep_their_meaning(capsys, tmp_path):
+    edge = tmp_path / "edge.col"
+    edge.write_text(emit_instance(path_graph(2), uniform_lists(path_graph(2), 2)))
+    code, out, err = run(capsys, ["color", str(edge), "--uniform", "0"])
+    assert code == 2 and out == "" and "hypothesis violation" in err
+    assert run(capsys, ["oracle", str(edge), "--limit", "0"])[:2] == (5, "limit-exceeded\n")
 
 
 def test_malformed_file_is_data_error(capsys, tmp_path):

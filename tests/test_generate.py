@@ -70,7 +70,7 @@ def test_degree_caps_hold(seed, delta, model):
 def test_tree_plus_edges_is_connected_and_spanning(seed):
     n = 2 + seed % 40
     g, _ = generate(GeneratorConfig(n=n, delta=5, model="tree-plus-edges", seed=seed))
-    assert len(connected_components(g).components) == 1
+    assert len(connected_components(g)) == 1
     assert g.m >= n - 1
 
 

@@ -64,12 +64,12 @@ def test_max_degree_examples():
 
 def test_connected_components_two_triangles():
     g = build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    assert connected_components(g).components == ((1, 2, 3), (4, 5, 6))
+    assert connected_components(g) == ((1, 2, 3), (4, 5, 6))
 
 
 def test_connected_components_cycle_and_empty():
-    assert connected_components(cycle_graph(5)).components == ((1, 2, 3, 4, 5),)
-    assert connected_components(build_graph(0, [])).components == ()
+    assert connected_components(cycle_graph(5)) == ((1, 2, 3, 4, 5),)
+    assert connected_components(build_graph(0, [])) == ()
 
 
 def test_is_complete_examples():
@@ -120,7 +120,7 @@ def test_adjacency_is_symmetric_and_loop_free(g):
 
 @given(graphs())
 def test_components_partition_and_reachability(g):
-    parts = connected_components(g).components
+    parts = connected_components(g)
     seen = [v for comp in parts for v in comp]
     assert sorted(seen) == list(g.vertices)
     assert len(set(seen)) == len(seen)

@@ -13,7 +13,6 @@ from brookscolor import (
     InvalidHole,
     MissingList,
     NoStartPair,
-    ResidualLists,
     ResidualTooSmall,
     brooks_list_color,
     brute_force_list_color,
@@ -192,13 +191,13 @@ def test_residual_no_outside_vertices_keeps_lists():
     c4 = cycle_graph(4)
     lists = uniform_lists(c4, 3)
     star = residual_lists(c4, Hole((1, 2, 3, 4)), lists, {})
-    assert star.star_lists == {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)}
+    assert star == {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)}
 
 
 def test_residual_five_vertex_gadget():
     g = five_vertex_gadget()
     star = residual_lists(g, Hole((1, 2, 3, 4)), uniform_lists(g, 3), {5: 1})
-    assert star.star_lists == {
+    assert star == {
         1: frozenset({2, 3}),
         2: frozenset({2, 3}),
         3: frozenset({2, 3}),
@@ -209,7 +208,7 @@ def test_residual_five_vertex_gadget():
 def test_residual_ignores_colors_outside_lists():
     g = five_vertex_gadget()
     star = residual_lists(g, Hole((1, 2, 3, 4)), uniform_lists(g, 3), {5: 9})
-    assert star.star_lists == {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)}
+    assert star == {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)}
 
 
 def test_residual_too_small_raises():
@@ -223,22 +222,22 @@ def test_residual_too_small_raises():
 # --------------------------------------------------------- extend_around_cycle
 
 def test_extend_k4_mixed_lists():
-    star = ResidualLists({
+    star = {
         1: frozenset({1, 2}),
         2: frozenset({2, 3}),
         3: frozenset({1, 2}),
         4: frozenset({1, 2}),
-    })
+    }
     assert extend_around_cycle(Hole((1, 2, 3, 4)), star) == {1: 1, 2: 2, 3: 1, 4: 2}
 
 
 def test_extend_k4_uniform_lists():
-    star = ResidualLists({v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)})
+    star = {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4)}
     assert extend_around_cycle(Hole((1, 2, 3, 4)), star) == {1: 1, 2: 2, 3: 1, 4: 2}
 
 
 def test_extend_k5_three_color_lists():
-    star = ResidualLists({v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4, 5)})
+    star = {v: frozenset({1, 2, 3}) for v in (1, 2, 3, 4, 5)}
     out = extend_around_cycle(Hole((1, 2, 3, 4, 5)), star)
     assert out == {1: 1, 2: 3, 3: 2, 4: 1, 5: 2}
 
@@ -246,28 +245,28 @@ def test_extend_k5_three_color_lists():
 def test_extend_uses_reverse_sweep_when_needed():
     # forward pairs all fail ({1,2} everywhere except x4 reachable only
     # against the stored orientation)
-    star = ResidualLists({
+    star = {
         1: frozenset({1, 2}),
         2: frozenset({1, 2}),
         3: frozenset({1, 2}),
         4: frozenset({1, 2, 3}),
-    })
+    }
     out = extend_around_cycle(Hole((1, 2, 3, 4)), star)
     cycle = (1, 2, 3, 4)
     for i, v in enumerate(cycle):
         assert out[v] != out[cycle[(i + 1) % 4]]
-        assert out[v] in star.star_lists[v]
+        assert out[v] in star[v]
 
 
 def test_extend_no_start_pair():
-    star = ResidualLists({v: frozenset({1, 2}) for v in (1, 2, 3, 4)})
+    star = {v: frozenset({1, 2}) for v in (1, 2, 3, 4)}
     with pytest.raises(NoStartPair):
         extend_around_cycle(Hole((1, 2, 3, 4)), star)
 
 
 def test_extend_rejects_undersized_lists():
-    star = ResidualLists({1: frozenset({1}), 2: frozenset({1, 2}),
-                          3: frozenset({1, 2}), 4: frozenset({1, 2})})
+    star = {1: frozenset({1}), 2: frozenset({1, 2}),
+            3: frozenset({1, 2}), 4: frozenset({1, 2})}
     with pytest.raises(ResidualTooSmall):
         extend_around_cycle(Hole((1, 2, 3, 4)), star)
 
@@ -280,7 +279,7 @@ def test_extend_matches_exhaustive_search_under_precondition(k, data):
     for v in cycle:
         size = data.draw(st.integers(min_value=2, max_value=4))
         lists[v] = frozenset(data.draw(st.permutations(palette))[:size])
-    star = ResidualLists(lists)
+    star = lists
     start_exists = any(
         any(len(lists[b] - {c}) >= 2 for c in lists[a])
         for a, b in [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
