@@ -252,14 +252,21 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment) ->
     along a perfect elimination ordering with lists of size >= clique number,
     and in any order when every list exceeds the vertex's degree.
     """
+    adjacency = g.adjacency
     seq = tuple(order)
-    if len(seq) != g.n or set(seq) != set(g.vertices):
+    if len(seq) != len(adjacency) or adjacency.keys() != set(seq):
         raise NotAPermutation("order must be a permutation of the graph's vertices")
     colors: Coloring = {}
+    color_of = colors.get
     for v in seq:
-        used = {colors[u] for u in g.neighbors(v) if u in colors}
-        free = frozenset(lists[v]) - used
-        if not free:
+        used = set(map(color_of, adjacency[v]))  # None marks an uncolored neighbor
+        # one scan for the smallest free color: no copy and no sort of the
+        # list, and faster than min(filterfalse(...)) or a set difference
+        best = None
+        for color in lists[v]:
+            if (best is None or color < best) and color not in used:
+                best = color
+        if best is None:
             raise ListExhausted(v)
-        colors[v] = min(free)
+        colors[v] = best
     return colors

@@ -12,7 +12,7 @@ import sys
 
 from .chordal import chordality_certificate, uniform_lists
 from .generate import MODELS, GeneratorConfig, InfeasibleConfig, generate
-from .graph import GraphError
+from .graph import GraphError, max_degree
 from .instance_io import (MAX_VERTICES, ParseError, emit_coloring, emit_instance,
                           parse_coloring, parse_instance)
 from .oracle import IncompleteColoring, OracleOutcome, brute_force_list_color, verify_coloring
@@ -106,6 +106,8 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
 def _cmd_seedrun(args: argparse.Namespace) -> int:
     if args.file is not None:
         raise _UsageError("--seedrun generates its own instances; drop the FILE argument")
+    if args.uniform is not None:
+        raise _UsageError("--seedrun colors the generated lists; drop --uniform")
     count = args.seedrun
     if count < 1:
         raise _UsageError("--seedrun needs a positive instance count")
@@ -142,7 +144,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
         raise _UsageError(f"--uniform K must lie in 0..{MAX_VERTICES}")
     g, lists = parse_instance(_read(args.file))
     if args.uniform is not None:
-        lists = uniform_lists(g, args.uniform)
+        # with K > max degree every vertex has slack and the greedy gives it a
+        # color of at most its degree + 1, so {1..max degree + 1} colors alike
+        lists = uniform_lists(g, min(args.uniform, max_degree(g) + 1))
     if lists is None:
         raise _UsageError("instance has no color lists; add 'l' lines or pass --uniform K")
     try:

@@ -8,7 +8,6 @@ computation reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Collection, Iterable, Iterator
 
 
@@ -49,6 +48,12 @@ class Graph:
     @property
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
+
+    @property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """The neighbor dict itself, for passes that read every vertex; it
+        must not be modified."""
+        return self._neighbors
 
     @property
     def n(self) -> int:
@@ -101,16 +106,16 @@ class Graph:
 def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph from a vertex-id collection (or a count n, meaning 1..n)
     and unordered edge pairs. Duplicate edges collapse silently.
+
+    Each vertex's neighbors are gathered in a list, then de-duplicated and
+    sorted once.
     """
-    if isinstance(n_or_ids, int):
-        ids: Iterable[int] = range(1, n_or_ids + 1)
-    else:
-        ids = n_or_ids
-    adjacency: dict[int, set[int]] = {}
+    ids = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else n_or_ids
+    adjacency: dict[int, list[int]] = {}
     for v in ids:
         if v < 0:
             raise UnknownVertex(f"vertex ids must be non-negative, got {v}")
-        adjacency.setdefault(v, set())
+        adjacency.setdefault(v, [])
     for u, v in edges:
         if u == v:
             raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
@@ -118,34 +123,33 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
             raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
         if v not in adjacency:
             raise UnknownVertex(f"edge endpoint {v} is not a declared vertex")
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return Graph({v: tuple(sorted(adjacency[v])) for v in sorted(adjacency)})
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return Graph({v: tuple(sorted(set(adjacency[v]))) for v in sorted(adjacency)})
 
 
 def max_degree(g: Graph) -> int:
     """Largest vertex degree; 0 for edgeless (or empty) graphs."""
-    return max((len(g.neighbors(v)) for v in g.vertices), default=0)
+    return max(map(len, g.adjacency.values()), default=0)
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted id tuples, ordered by smallest id."""
+    adjacency = g.adjacency
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
-    for start in g.vertices:
+    for start in adjacency:
         if start in seen:
             continue
-        queue = deque([start])
         seen.add(start)
         comp = [start]
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
+        for v in comp:  # the list grows while it is scanned: a queue
+            for u in adjacency[v]:
                 if u not in seen:
                     seen.add(u)
                     comp.append(u)
-                    queue.append(u)
-        components.append(tuple(sorted(comp)))
+        comp.sort()
+        components.append(tuple(comp))
     return tuple(components)
 
 
@@ -206,4 +210,5 @@ def _closed_part(g: Graph, part: Collection[int]) -> Graph:
     components), sharing g's neighbor tuples; g itself if part is all of g."""
     if len(part) == g.n:
         return g
-    return Graph({v: g.neighbors(v) for v in sorted(part)})
+    neighbors = g.adjacency
+    return Graph({v: neighbors[v] for v in sorted(part)})

@@ -27,73 +27,96 @@ class DuplicateListLine(ParseError):
     """A vertex received more than one ``l`` line."""
 
 
+class _ColorLists(dict):
+    """Color lists keyed by their tokens joined with single spaces, so that
+    equal ``l`` lines share one frozenset and convert their tokens once."""
+
+    def __missing__(self, key: str) -> frozenset[int]:
+        colors = self[key] = frozenset(map(int, key.split()))
+        return colors
+
+
 def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     """Parse an instance file into a graph and, if ``l`` lines occur, lists.
 
     Vertices missing an ``l`` line in a file that has any get empty lists.
     """
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    lists: dict[int, frozenset[int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
-        kind = tokens[0]
-        if kind == "p":
-            if n is not None:
-                raise ParseError(line_no, "duplicate problem line")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(line_no, "problem line must be 'p edge <n> <m>'")
-            try:
-                n = int(tokens[2])
-                m = int(tokens[3])
-            except ValueError:
-                raise ParseError(line_no, "problem line counts must be integers") from None
-            if not 0 <= n <= MAX_VERTICES:
-                raise ParseError(line_no, f"vertex count must be in 0..{MAX_VERTICES}")
-            # m bounds the distinct edges; e lines may repeat an edge, so their
-            # number need not equal m
-            if not 0 <= m <= n * (n - 1) // 2:
-                raise ParseError(line_no, f"edge count must be in 0..{n * (n - 1) // 2}")
+        if tokens[0] != "p":
+            raise ParseError(line_no, f"'{tokens[0]}' line before the problem line")
+        if len(tokens) != 4 or tokens[1] != "edge":
+            raise ParseError(line_no, "problem line must be 'p edge <n> <m>'")
+        try:
+            n = int(tokens[2])
+            m = int(tokens[3])
+        except ValueError:
+            raise ParseError(line_no, "problem line counts must be integers") from None
+        if not 0 <= n <= MAX_VERTICES:
+            raise ParseError(line_no, f"vertex count must be in 0..{MAX_VERTICES}")
+        # m bounds the distinct edges; e lines may repeat an edge, so their
+        # number need not equal m
+        if not 0 <= m <= n * (n - 1) // 2:
+            raise ParseError(line_no, f"edge count must be in 0..{n * (n - 1) // 2}")
+        break
+    else:
+        raise ParseError(1, "missing problem line 'p edge <n> <m>'")
+    # the rest in one pass: edge endpoints in two id lists, color lists by id
+    us: list[int] = []
+    vs: list[int] = []
+    by_id: list[frozenset[int] | None] = [None] * (n + 1)
+    listed = 0
+    color_lists = _ColorLists()
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if n is None:
-            raise ParseError(line_no, f"'{kind}' line before the problem line")
+        kind = tokens[0]
         if kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <u> <v>'")
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u = int(tokens[1])
+                v = int(tokens[2])
             except ValueError:
                 raise ParseError(line_no, "edge endpoints must be integers") from None
             if u == v:
                 raise ParseError(line_no, f"edge ({u}, {v}) is a self-loop")
-            for x in (u, v):
-                if not 1 <= x <= n:
-                    raise UnknownVertex(f"line {line_no}: vertex {x} outside 1..{n}")
-            edges.append((u, v))
+            if not 1 <= u <= n:
+                raise UnknownVertex(f"line {line_no}: vertex {u} outside 1..{n}")
+            if not 1 <= v <= n:
+                raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
+            us.append(u)
+            vs.append(v)
         elif kind == "l":
             if len(tokens) < 2:
                 raise ParseError(line_no, "list line must be 'l <v> <colors...>'")
             try:
                 v = int(tokens[1])
-                colors = [int(t) for t in tokens[2:]]
+                colors = color_lists[" ".join(tokens[2:])]
             except ValueError:
                 raise ParseError(line_no, "list entries must be integers") from None
             if not 1 <= v <= n:
                 raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
-            if v in lists:
+            if by_id[v] is not None:
                 raise DuplicateListLine(line_no, f"second list line for vertex {v}")
-            lists[v] = frozenset(colors)
-        else:
+            by_id[v] = colors
+            listed += 1
+        elif kind == "p":
+            raise ParseError(line_no, "duplicate problem line")
+        elif kind != "c":
             raise ParseError(line_no, f"unknown line type {kind!r}")
-    if n is None:
-        raise ParseError(1, "missing problem line 'p edge <n> <m>'")
-    g = build_graph(n, edges)
-    if not lists:
+    g = build_graph(n, zip(us, vs))
+    if not listed:
         return g, None
-    full: ListAssignment = {v: lists.get(v, frozenset()) for v in g.vertices}
-    return g, full
+    del by_id[0]
+    if listed < n:
+        empty: frozenset[int] = frozenset()
+        by_id = [empty if colors is None else colors for colors in by_id]
+    return g, dict(zip(g.vertices, by_id))
 
 
 def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from itertools import filterfalse
 from typing import Iterator, NamedTuple
 
 from .chordal import Coloring, ListAssignment
@@ -39,17 +40,19 @@ def verify_coloring(g: Graph, lists: ListAssignment | None, phi: Coloring) -> De
     checks of its edges toward larger neighbor ids. Pass lists=None to check
     properness only.
     """
-    missing = [v for v in g.vertices if v not in phi]
+    adjacency = g.adjacency
+    missing = list(filterfalse(phi.__contains__, adjacency))
     if missing:
         raise IncompleteColoring(f"vertices without a color: {missing[:5]}")
-    if len(phi) != g.n:
-        extra = sorted(set(phi) - set(g.vertices))
+    if len(phi) != len(adjacency):
+        extra = sorted(phi.keys() - adjacency.keys())
         raise IncompleteColoring(f"colors assigned outside the graph: {extra[:5]}")
-    for v in g.vertices:
-        if lists is not None and phi[v] not in lists[v]:
+    for v, nbrs in adjacency.items():
+        color = phi[v]
+        if lists is not None and color not in lists[v]:
             return Defect(kind="color-not-in-list", vertex=v)
-        for u in g.neighbors(v):
-            if u > v and phi[u] == phi[v]:
+        for u in nbrs:
+            if u > v and phi[u] == color:
                 return Defect(kind="monochromatic-edge", edge=(v, u))
     return None
 

@@ -27,7 +27,8 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import filterfalse
+from typing import NamedTuple
 
 from .chordal import (
     Coloring,
@@ -106,33 +107,48 @@ def check_hypotheses(g: Graph, lists: ListAssignment) -> HypothesisReport:
     """Per component: lists beat degrees, or lists reach the component's
     max degree D >= 3 and the component is not complete on D+1 vertices.
     """
-    return _check_hypotheses(g, lists, connected_components(g))
+    return _check_hypotheses(g, lists, connected_components(g))[0]
 
 
 def _check_hypotheses(
     g: Graph,
     lists: ListAssignment,
     parts: tuple[tuple[int, ...], ...],
-) -> HypothesisReport:
-    for v in g.vertices:
-        if v not in lists:
-            raise MissingList(v)
+) -> tuple[HypothesisReport, list[int]]:
+    # The report and, when it passes, the vertices with slack (a list longer
+    # than the degree), ascending: one scan of each component gives both.
+    adjacency = g.adjacency
+    for v in filterfalse(lists.__contains__, adjacency):
+        raise MissingList(v)
+    slack: list[int] = []
     for comp in parts:
-        if all(len(lists[v]) >= g.degree(v) + 1 for v in comp):
+        slack_before = len(slack)
+        d = 0  # max degree
+        shortest = len(lists[comp[0]])  # min list size
+        for v in comp:
+            degree = len(adjacency[v])
+            size = len(lists[v])
+            if size > degree:
+                slack.append(v)
+            if degree > d:
+                d = degree
+            if size < shortest:
+                shortest = size
+        if len(slack) - slack_before == len(comp):
             continue
-        d = max(g.degree(v) for v in comp)
-        short = [v for v in comp if len(lists[v]) < d]
         if d < 3:
             detail = f"max degree {d} < 3 and some list is not longer than its vertex's degree"
-        elif short:
-            detail = f"vertex {short[0]} has fewer than {d} colors"
+        elif shortest < d:
+            short = next(v for v in comp if len(lists[v]) < d)
+            detail = f"vertex {short} has fewer than {d} colors"
         elif len(comp) == d + 1 and is_complete(g, comp):
             detail = f"complete graph on {d + 1} vertices with lists of size exactly its degree"
         else:
             continue
         return HypothesisReport(ok=False, failing_component=comp,
-                                detail=f"component {comp[0]}...: {detail}")
-    return HypothesisReport(ok=True)
+                                detail=f"component {comp[0]}...: {detail}"), []
+    slack.sort()  # ascending across components too
+    return HypothesisReport(ok=True), slack
 
 
 def _validate_hole(g: Graph, c: Hole) -> None:
@@ -268,11 +284,11 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     verified once before returning.
     """
     parts = connected_components(g)
-    report = _check_hypotheses(g, lists, parts)
+    report, slack = _check_hypotheses(g, lists, parts)
     if not report.ok:
         raise HypothesisViolation(report.detail)
     colors: Coloring = {}
-    _color_slack(g, lists, colors, g.vertices)
+    _color_slack(g, lists, colors, slack)
     for comp in parts:
         if comp[0] not in colors:
             _color_tight(_closed_part(g, comp), lists, colors)
@@ -282,14 +298,14 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def _slack_order(g: Graph, lists: ListAssignment, sources: Iterable[int]) -> list[int]:
-    """The vertices reachable from a source whose list beats its degree, in
-    reverse breadth-first visit order from all such sources at once. sources
-    ascend and hold every vertex of g with slack."""
-    order = [v for v in sources if len(lists[v]) > g.degree(v)]
+def _slack_order(g: Graph, roots: list[int]) -> list[int]:
+    """The vertices reachable from roots, in reverse breadth-first visit order
+    from all roots at once."""
+    adjacency = g.adjacency
+    order = list(roots)
     seen = set(order)
     for v in order:  # the list grows while it is scanned: a queue
-        for u in g.neighbors(v):
+        for u in adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 order.append(u)
@@ -297,12 +313,11 @@ def _slack_order(g: Graph, lists: ListAssignment, sources: Iterable[int]) -> lis
     return order
 
 
-def _color_slack(
-    g: Graph, lists: ListAssignment, colors: Coloring, sources: Iterable[int]
-) -> Coloring:
-    # Greedily colors every component of g that has a vertex with slack (all
-    # of them among sources), into colors, and returns what it colored.
-    order = _slack_order(g, lists, sources)
+def _color_slack(g: Graph, lists: ListAssignment, colors: Coloring, roots: list[int]) -> Coloring:
+    # Greedily colors every component of g that has a vertex with slack, into
+    # colors, and returns what it colored. roots ascend and hold every vertex
+    # of g with slack.
+    order = _slack_order(g, roots)
     colored = greedy_color_along(_closed_part(g, order), order, lists)
     colors.update(colored)
     return colored
@@ -320,9 +335,10 @@ def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
                 raise InternalInvariantBroken("a tight component is chordal, so complete")
             rounds.append((g, hole))
             branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
-            sources = sorted({u for x in hole.cycle if not branch.has_vertex(x)
-                              for u in g.neighbors(x) if branch.has_vertex(u)})
-            colored = _color_slack(branch, lists, colors, sources)
+            roots = sorted({u for x in hole.cycle if not branch.has_vertex(x)
+                            for u in g.neighbors(x)
+                            if branch.has_vertex(u) and len(lists[u]) > branch.degree(u)})
+            colored = _color_slack(branch, lists, colors, roots)
             g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph({})
         for outer, hole in reversed(rounds):
             colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))

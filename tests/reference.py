@@ -13,11 +13,13 @@ from collections import deque
 from typing import Iterable
 
 from brookscolor import (
+    DuplicateListLine,
     EndpointDeleted,
     Graph,
     HypothesisViolation,
     InfeasibleConfig,
     OracleOutcome,
+    ParseError,
     SelfLoop,
     SplitMix64,
     UnknownVertex,
@@ -31,9 +33,19 @@ from brookscolor import (
     residual_lists,
     select_branch,
 )
+from brookscolor.instance_io import MAX_VERTICES
 
 
 # ---------------------------------------------------------------- builders
+
+def four_rounds_22() -> Graph:
+    """The 22-vertex cubic graph whose hole loop runs four F rounds."""
+    return build_graph(22, [
+        (1, 2), (1, 20), (1, 22), (2, 5), (2, 9), (3, 10), (3, 17), (3, 22), (4, 7),
+        (4, 8), (4, 12), (5, 14), (5, 18), (6, 15), (6, 18), (6, 21), (7, 12), (7, 17),
+        (8, 10), (8, 19), (9, 15), (9, 21), (10, 13), (11, 14), (11, 16), (11, 20),
+        (12, 17), (13, 19), (13, 22), (14, 16), (15, 21), (16, 20), (18, 19)])
+
 
 def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
@@ -467,3 +479,94 @@ def brute_force_recursive(g: Graph, lists, node_limit: int = 10_000_000):
     except _Limit:
         return OracleOutcome.LIMIT_EXCEEDED
     return dict(phi) if found else OracleOutcome.UNSATISFIABLE
+
+
+# ------------------------------------------- edge-tuple parser, set builder
+# The front end's first form: the parser kept a list of edge tuples and a
+# dict of lists, and build_graph grew a dict of sets and sorted it. The
+# package's one-pass parser and list-gathering builder must give the same
+# graph and lists, or the same exception with the same message and line
+# number.
+
+def build_graph_sets(n_or_ids, edges: Iterable[tuple[int, int]] = ()) -> Graph:
+    if isinstance(n_or_ids, int):
+        ids: Iterable[int] = range(1, n_or_ids + 1)
+    else:
+        ids = n_or_ids
+    adjacency: dict[int, set[int]] = {}
+    for v in ids:
+        if v < 0:
+            raise UnknownVertex(f"vertex ids must be non-negative, got {v}")
+        adjacency.setdefault(v, set())
+    for u, v in edges:
+        if u == v:
+            raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
+        if u not in adjacency:
+            raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
+        if v not in adjacency:
+            raise UnknownVertex(f"edge endpoint {v} is not a declared vertex")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return Graph({v: tuple(sorted(adjacency[v])) for v in sorted(adjacency)})
+
+
+def parse_instance_tuples(text: str):
+    n = None
+    edges: list[tuple[int, int]] = []
+    lists: dict[int, frozenset[int]] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        kind = tokens[0]
+        if kind == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate problem line")
+            if len(tokens) != 4 or tokens[1] != "edge":
+                raise ParseError(line_no, "problem line must be 'p edge <n> <m>'")
+            try:
+                n = int(tokens[2])
+                m = int(tokens[3])
+            except ValueError:
+                raise ParseError(line_no, "problem line counts must be integers") from None
+            if not 0 <= n <= MAX_VERTICES:
+                raise ParseError(line_no, f"vertex count must be in 0..{MAX_VERTICES}")
+            if not 0 <= m <= n * (n - 1) // 2:
+                raise ParseError(line_no, f"edge count must be in 0..{n * (n - 1) // 2}")
+            continue
+        if n is None:
+            raise ParseError(line_no, f"'{kind}' line before the problem line")
+        if kind == "e":
+            if len(tokens) != 3:
+                raise ParseError(line_no, "edge line must be 'e <u> <v>'")
+            try:
+                u, v = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ParseError(line_no, "edge endpoints must be integers") from None
+            if u == v:
+                raise ParseError(line_no, f"edge ({u}, {v}) is a self-loop")
+            for x in (u, v):
+                if not 1 <= x <= n:
+                    raise UnknownVertex(f"line {line_no}: vertex {x} outside 1..{n}")
+            edges.append((u, v))
+        elif kind == "l":
+            if len(tokens) < 2:
+                raise ParseError(line_no, "list line must be 'l <v> <colors...>'")
+            try:
+                v = int(tokens[1])
+                colors = [int(t) for t in tokens[2:]]
+            except ValueError:
+                raise ParseError(line_no, "list entries must be integers") from None
+            if not 1 <= v <= n:
+                raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
+            if v in lists:
+                raise DuplicateListLine(line_no, f"second list line for vertex {v}")
+            lists[v] = frozenset(colors)
+        else:
+            raise ParseError(line_no, f"unknown line type {kind!r}")
+    if n is None:
+        raise ParseError(1, "missing problem line 'p edge <n> <m>'")
+    g = build_graph_sets(n, edges)
+    if not lists:
+        return g, None
+    return g, {v: lists.get(v, frozenset()) for v in g.vertices}

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from brookscolor import (
+    MODELS,
+    GeneratorConfig,
     emit_instance,
+    generate,
+    max_degree,
     parse_coloring,
     parse_instance,
     uniform_lists,
@@ -15,7 +20,7 @@ from brookscolor import (
 from brookscolor import cli
 from brookscolor.cli import main
 
-from reference import complete_graph, cycle_graph, path_graph, petersen_graph
+from reference import complete_graph, cycle_graph, four_rounds_22, path_graph, petersen_graph
 
 
 @pytest.fixture()
@@ -257,9 +262,31 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, ["color", str(edge), "--uniform", k])
         assert code == 64 and out == "" and "--uniform" in err
     monkeypatch.setattr(cli, "_read", None)  # negative counts are refused before any read
-    for argv in (["color", str(edge), "--uniform", "-1"], ["oracle", str(edge), "--limit", "-1"]):
+    for argv in (["color", str(edge), "--uniform", "-1"], ["oracle", str(edge), "--limit", "-1"],
+                 ["color", "--seedrun", "2", "--n", "10", "--delta", "3", "--uniform", "-1"]):
         code, out, err = run(capsys, argv)
         assert code == 64 and out == "" and argv[-2] in err, argv
+
+
+def test_uniform_beyond_max_degree_builds_max_degree_plus_one_colors(capsys, tmp_path,
+                                                                    monkeypatch):
+    # any K > max degree colors alike, so the CLI builds at most max degree + 1
+    g, _ = generate(GeneratorConfig(n=60, delta=4, seed=3))
+    path = tmp_path / "tree.col"
+    path.write_text(emit_instance(g))
+    sizes = []
+    real = cli.uniform_lists
+
+    def spy(graph, k):
+        sizes.append(k)
+        return real(graph, k)
+
+    monkeypatch.setattr(cli, "uniform_lists", spy)
+    delta = max_degree(g)
+    outs = [run(capsys, ["color", str(path), "--uniform", str(k)])
+            for k in (1_000_000, delta + 1, delta + 7)]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    assert sizes == [delta + 1] * 3
 
 
 def test_zero_counts_keep_their_meaning(capsys, tmp_path):
@@ -327,3 +354,56 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _cli_digests(capsys, tmp_path):
+    # sha256 over exit code, stdout and stderr of `color FILE` then `chordal
+    # FILE`, per generated instance (model, n, delta) and for the four-round pin
+    instances = {}
+    for model in MODELS:
+        for n in (10, 60, 300):
+            for delta in (3, 5):
+                cfg = GeneratorConfig(n=n, delta=delta, model=model, seed=n + delta)
+                instances[f"{model} {n} {delta}"] = generate(cfg)
+    pin = four_rounds_22()
+    instances["four-rounds-22"] = (pin, uniform_lists(pin, 3))
+    digests = {}
+    for name, (g, lists) in instances.items():
+        path = tmp_path / "instance.col"
+        path.write_text(emit_instance(g, lists))
+        digest = hashlib.sha256()
+        for argv in (["color", str(path)], ["chordal", str(path)]):
+            code, out, err = run(capsys, argv)
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+# Computed with the parser (edge tuples, a dict of sets) and the solver passes
+# (Graph.neighbors calls, a frozenset per greedy step) that came before the
+# one-pass front end.
+_PINNED_CLI = {
+    "tree-plus-edges 10 3": "6cdbddf6a55cad0af80458e4ab6adfd7eb4cae16224ce7440d67ac21a8b5825e",
+    "tree-plus-edges 10 5": "72846d7a0d67432d3442ed34a45df676e757a9b8106f28d4333f8bd4bad1bb56",
+    "tree-plus-edges 60 3": "d4c103dd9e9126889b0cb04335affc8785f11aca1edc50d7f47bb207652d6dbd",
+    "tree-plus-edges 60 5": "8b0a61e010f747eddf1c2a0940b9dc8f52934d97793946bf2446a44ed0cad80c",
+    "tree-plus-edges 300 3": "26093377cc85009e2ab8a67b9b6bde942a7baae9bee531e0e2f4e330433ed7a1",
+    "tree-plus-edges 300 5": "62cd8ea9b7f25d83a6e1f883c038b7378014767eb20c1d64411e5e4a005460e7",
+    "chordal-simplicial 10 3": "8f42ac94e762484f1c7a8e9ba8b97251f02d3b5dfb6c2748251b257d5ec7e014",
+    "chordal-simplicial 10 5": "b128ff9115016a06dae48e95fd1f16575bba2b6dc62db3ed128a0468b1adf71a",
+    "chordal-simplicial 60 3": "54acb1af2b864c24ec15428ca15318491db757309964aa6a417034004a42ec2c",
+    "chordal-simplicial 60 5": "6c7279dc2346c2801d9648a7f7322a3661215bad5139a8331c110ada3ff41edf",
+    "chordal-simplicial 300 3": "7d2206898c078af295d65f4793a3258e944c943fc4c47a6723ea1a0cafe1aa7c",
+    "chordal-simplicial 300 5": "cff921666210037ca52a7e232956429c7ea4d664e95120208da8bee51429253e",
+    "gnp-capped 10 3": "ccd6fca406148646394cb303fdc400b8a098ca840c3053c254b03de642a2964b",
+    "gnp-capped 10 5": "88e4b5f9de7ee9306bff973b8cdd64be37a5d2f79590afb68cbe8af5b5f0750d",
+    "gnp-capped 60 3": "77dc97297bc76d6fdd31597456076dae677088990cda3fe9ab2f3e5b9b2094b4",
+    "gnp-capped 60 5": "f1b691dfee7144f15271c321b76d2547ba987d1f194a981ed8939dbc70678e91",
+    "gnp-capped 300 3": "90607eafb9c80faf5c9c262c1e609b6f56abc2185b2eeccfc15c5095394b12ce",
+    "gnp-capped 300 5": "4d0785be95b6a784bac8960b998e8a355d9f2e914a9d2e5db5e88cc327c8db5d",
+    "four-rounds-22": "170456e1da886598d8ac76dc1a26021bb0fb5060063b3da25da37207980dd4cf",
+}
+
+
+def test_cli_bytes_pinned(capsys, tmp_path):
+    assert _cli_digests(capsys, tmp_path) == _PINNED_CLI

@@ -14,7 +14,8 @@ from brookscolor import (
     surgery,
 )
 
-from reference import bfs_reachable, complete_graph, cycle_graph, path_graph, surgery_rebuild
+from reference import (bfs_reachable, build_graph_sets, complete_graph, cycle_graph, path_graph,
+                       surgery_rebuild)
 from strategies import graphs, relabelled
 
 
@@ -183,3 +184,35 @@ def test_graph_equality_and_repr(g):
     clone = build_graph(g.vertices, list(g.edges()))
     assert clone == g
     assert repr(g) == f"Graph(n={g.n}, m={g.m})"
+
+
+def _built(n_or_ids, edges, build):
+    """The built graph's neighbor dict, key order included, or the exception's
+    class and message."""
+    try:
+        g = build(n_or_ids, edges)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return tuple(g.adjacency.items())
+
+
+@given(st.data())
+def test_build_graph_matches_set_reference(data):
+    # a count n (ids 1..n) or an id collection, and edges that may repeat,
+    # loop, or name ids outside the graph, including negative ones
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(-2, 8))
+        vertices = lambda: n  # noqa: E731
+        declared = list(range(1, n + 1))
+    else:
+        declared = data.draw(st.lists(st.integers(-1, 12), max_size=9))
+        kind = data.draw(st.sampled_from([list, set, tuple, iter]))
+        vertices = lambda: kind(declared)  # noqa: E731
+    if len(set(declared)) > 1 and data.draw(st.integers(0, 2)):
+        pairs = st.tuples(st.sampled_from(declared), st.sampled_from(declared))
+        pairs = pairs.filter(lambda e: e[0] != e[1])
+    else:
+        pairs = st.tuples(st.integers(-1, 14), st.integers(-1, 14))
+    edges = data.draw(st.lists(pairs, max_size=12))
+    assert _built(vertices(), iter(edges), build_graph) == _built(vertices(), edges,
+                                                                 build_graph_sets)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from brookscolor import (
@@ -16,7 +16,7 @@ from brookscolor import (
     uniform_lists,
 )
 
-from reference import path_graph
+from reference import parse_instance_tuples, path_graph
 
 
 def test_parse_path():
@@ -128,3 +128,60 @@ def test_parse_coloring_errors():
 def test_parse_instance_negative_colors_allowed():
     _, lists = parse_instance("p edge 1 0\nl 1 -4 0 9\n")
     assert lists[1] == frozenset({-4, 0, 9})
+
+
+def _outcome(parse, text):
+    """The parsed graph and lists, key order included, or the exception's
+    class, message and line number."""
+    try:
+        g, lists = parse(text)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return tuple(g.adjacency.items()), None if lists is None else tuple(lists.items())
+
+
+@st.composite
+def instance_texts(draw):
+    """Valid instance texts, and the same texts with a few malformed lines
+    (self-loops, bad or non-integer endpoints, short lines, second p and l
+    lines, unknown kinds, no p line) spliced in; blank lines and comments
+    anywhere."""
+    n = draw(st.integers(0, 7))
+    ids = st.integers(1, max(n, 1))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        u, v = draw(ids), draw(ids)
+        if u != v:
+            lines.append(f"e {u} {v}")  # repeats allowed
+    for v in draw(st.lists(st.integers(1, n), unique=True)) if n else []:
+        colors = draw(st.lists(st.integers(-1, 6), max_size=5))
+        lines.append(" ".join(["l", str(v), *map(str, colors)]))
+    if draw(st.integers(0, 9)):  # one text in ten has no p line
+        lines.insert(0, f"p edge {n} {draw(st.integers(0, n * (n - 1) // 2))}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "\t", "c", "c a comment"])))
+    bad = st.one_of(
+        ids.map(lambda v: f"e {v} {v}"),
+        st.tuples(*[st.sampled_from([1, 0, -1, n + 1, 10**12])] * 2).map(
+            lambda e: f"e {e[0]} {e[1]}"),
+        st.sampled_from([0, -3, n + 1]).map(lambda x: f"l {x} 1 2"),
+        ids.map(lambda v: f"l {v} 3"),  # a second l line if v already has one
+        st.sampled_from(["e 1 x", "e 1.5 2", "l 1 a", "l b 1", "e 1", "e", "l",
+                         "e 1 2 3", "p edge 2 1", "p edge 2", "p node 2 0", "p edge x 0",
+                         "p edge -1 0", "p edge 3 9", "q 1 2", "v 1 1", "E 1 2"]),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(instance_texts())
+@example("p edge 2 1\ne 1 1\n")
+@example("p edge 2 1\ne 1 3\n")
+@example("p edge 2 0\nl 1\nl 1 2\n")
+@example("e 1 2\n")
+@example("p edge 2 0\nq\n")
+@example("")
+def test_parse_matches_edge_tuple_reference(text):
+    assert _outcome(parse_instance, text) == _outcome(parse_instance_tuples, text)

@@ -546,11 +546,40 @@ def test_brooks_matches_per_component_reference_on_disjoint_unions(monkeypatch):
     assert total_rounds >= 300 and most_rounds >= 4
 
 
+class _CountedAdjacency(dict):
+    """A copy of a neighbor dict that adds to reads[0] the vertex ids it hands
+    out: one per key iterated, one plus the length per neighbor tuple."""
+
+    def __init__(self, neighbors, reads):
+        super().__init__(neighbors)
+        self.reads = reads
+
+    def __getitem__(self, v):
+        nbrs = dict.__getitem__(self, v)
+        self.reads[0] += 1 + len(nbrs)
+        return nbrs
+
+    def __iter__(self):
+        for v in dict.__iter__(self):
+            self.reads[0] += 1
+            yield v
+
+    def keys(self):
+        self.reads[0] += len(self)
+        return set(dict.keys(self))
+
+    def values(self):
+        return [self[v] for v in self]
+
+    def items(self):
+        return [(v, self[v]) for v in self]
+
+
 def test_brooks_work_is_linear_in_many_components(monkeypatch):
     # 2 000 disjoint edges (slack) and 200 Petersen copies (tight). Every pass
-    # over a graph reads its vertex tuple, so the total length read counts the
-    # work of those passes; carving each component out of the whole graph
-    # would read about 2n per component.
+    # over a graph reads its vertex tuple or its neighbor dict, so the vertex
+    # ids handed out count the work of those passes; carving each component
+    # out of the whole graph would read at least n per component.
     edges = [(2 * i + 1, 2 * i + 2) for i in range(2000)]
     pet = petersen_graph()
     for c in range(200):
@@ -564,8 +593,12 @@ def test_brooks_work_is_linear_in_many_components(monkeypatch):
         return self._vertices
 
     monkeypatch.setattr(Graph, "vertices", property(vertices))
+    monkeypatch.setattr(Graph, "adjacency",
+                        property(lambda self: _CountedAdjacency(self._neighbors, read)))
     phi = brooks_list_color(g, lists)
-    assert read[0] <= 20 * g.n, read[0]  # 8.8 n; 4 408 n if each component is carved out
+    # 20.9 n, where one pass over the graph reads n + 2m = 2.7 n; carving each
+    # of the 200 tight components out of the whole graph would add 200 n
+    assert read[0] <= 40 * g.n, read[0]
     assert verify_coloring(g, lists, phi) is None
 
 
@@ -593,17 +626,25 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
         return real(tight, hole)
 
     monkeypatch.setattr(solver, "build_branch_pair", spy)
+    # vertex ids read through neighbors() and adjacency; a pass over this
+    # cubic graph reads 4 n to 6 n of them
     reads = [0]
     neighbors = Graph.neighbors
 
     def counted(self, v):
-        reads[0] += 1
-        return neighbors(self, v)
+        nbrs = neighbors(self, v)
+        reads[0] += 1 + len(nbrs)
+        return nbrs
 
     monkeypatch.setattr(Graph, "neighbors", counted)
+    monkeypatch.setattr(Graph, "adjacency",
+                        property(lambda self: _CountedAdjacency(self._neighbors, reads)))
     lists = uniform_lists(g, 3)
     phi = brooks_list_color(g, lists)
     assert branch_picks == ["F", "F", "F", "F"]
     assert sizes == [2022, 2018, 2014, 2010]
-    assert reads[0] <= 10 * g.n, reads[0]  # 6.1 n; 21 n if each round rebuilds the graph
+    # 25.3 n: 16 n for the input's components, hypothesis check and final
+    # verification, 9 n to order and color the 2 000 vertices the last round
+    # frees. A whole-graph pass in each of the four rounds would add 16 n.
+    assert reads[0] <= 30 * g.n, reads[0]
     assert verify_coloring(g, lists, phi) is None
