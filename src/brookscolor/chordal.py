@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -89,7 +90,7 @@ def _mcs(g: Graph) -> Iterator[int]:
     neighbors); an entry is stale once its vertex is visited or heavier.
     """
     weight = dict.fromkeys(g.vertices, 0)
-    buckets = [list(g.vertices)]  # ascending ids: already a heap
+    buckets = [list(weight)]  # ascending ids: already a heap
     top = 0
     while top >= 0:
         bucket = buckets[top]
@@ -122,26 +123,33 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     return tuple(_mcs(g))
 
 
-def _violation(g: Graph, v: int, earlier: list[int], pos: dict[int, int]) -> PeoViolation | None:
-    """The lexicographically smallest non-adjacent pair among v's earlier
-    neighbors, or None if they form a clique. Valid only while every earlier
-    vertex of the order passed this check."""
-    if len(earlier) <= 1:
-        return None
-    # It suffices to compare against the latest-placed earlier neighbor: its
-    # own earlier neighbors are pairwise adjacent by the minimality of the
-    # first failure, so the full clique check reduces to membership.
-    anchor = max(earlier, key=pos.__getitem__)
-    anchor_nbrs = g.neighbor_set(anchor)
-    if all(u == anchor or u in anchor_nbrs for u in earlier):
-        return None
-    earlier.sort()
-    for a_idx, a in enumerate(earlier):
-        a_nbrs = g.neighbor_set(a)
-        for b in earlier[a_idx + 1:]:
-            if b not in a_nbrs:
-                return PeoViolation(vertex=v, witness_pair=(a, b))
-    raise InternalInvariantBroken("reduced check failed but no bad pair found")
+def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, dict[int, int]]:
+    """Check each vertex of order against its earlier neighbors, up to the
+    first violation: that violation (None if none) and the positions of the
+    vertices that passed. The violation holds the lexicographically smallest
+    non-adjacent pair of earlier neighbors.
+
+    Checking against the latest-placed earlier neighbor, the anchor,
+    suffices: an earlier neighbor adjacent to it is one of its own earlier
+    neighbors, pairwise adjacent since it passed. One vertex can anchor many
+    later ones, so each anchor's neighbor set is built once per walk.
+    """
+    adjacency = g.adjacency
+    pos: dict[int, int] = {}
+    anchor_sets: dict[int, frozenset[int]] = {}
+    for v in order:
+        earlier = [u for u in adjacency[v] if u in pos]  # ascending
+        if len(earlier) > 1:
+            anchor = max(earlier, key=pos.__getitem__)
+            anchor_nbrs = anchor_sets.get(anchor)
+            if anchor_nbrs is None:
+                anchor_nbrs = anchor_sets[anchor] = g.neighbor_set(anchor)
+            if not all(u == anchor or u in anchor_nbrs for u in earlier):
+                # the anchor and some earlier vertex form a pair, so next() finds one
+                pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
+                return PeoViolation(vertex=v, witness_pair=pair), pos
+        pos[v] = len(pos)
+    return None, pos
 
 
 def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
@@ -151,14 +159,9 @@ def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
     lexicographically smallest non-adjacent pair of earlier neighbors.
     """
     seq = tuple(order)
-    if len(seq) != g.n or set(seq) != set(g.vertices):
+    if len(seq) != g.n or set(seq) != g.adjacency.keys():
         raise NotAPermutation("order must be a permutation of the graph's vertices")
-    pos = {v: i for i, v in enumerate(seq)}
-    for i, v in enumerate(seq):
-        viol = _violation(g, v, [u for u in g.neighbors(v) if pos[u] < i], pos)
-        if viol is not None:
-            return viol
-    return None
+    return _walk_peo(g, seq)[0]
 
 
 def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
@@ -208,13 +211,8 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     smallest id first, then toward the smaller of that vertex's two cycle
     neighbors.
     """
-    pos: dict[int, int] = {}
-    for v in _mcs(g):
-        viol = _violation(g, v, [u for u in g.neighbors(v) if u in pos], pos)
-        if viol is not None:
-            break
-        pos[v] = len(pos)
-    else:
+    viol, pos = _walk_peo(g, _mcs(g))
+    if viol is None:
         return ChordalityCertificate(peo=tuple(pos))
     hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)
     if hole is None:

@@ -16,7 +16,7 @@ from .graph import GraphError, max_degree
 from .instance_io import (MAX_VERTICES, ParseError, emit_coloring, emit_instance,
                           parse_coloring, parse_instance)
 from .oracle import IncompleteColoring, OracleOutcome, brute_force_list_color, verify_coloring
-from .solver import HypothesisViolation, brooks_list_color, check_hypotheses
+from .solver import HypothesisViolation, brooks_list_color
 
 EXIT_OK = 0
 EXIT_HOLE = 1
@@ -41,14 +41,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="brookscolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # no defaults here, so that color FILE can refuse a given flag; see _GEN_DEFAULTS
     gen_opts = argparse.ArgumentParser(add_help=False)
-    gen_opts.add_argument("--n", type=int, default=30, help="vertex count")
-    gen_opts.add_argument("--delta", type=int, default=4, help="max-degree cap")
-    gen_opts.add_argument("--model", choices=MODELS, default="tree-plus-edges")
-    gen_opts.add_argument("--seed", type=int, default=0)
-    gen_opts.add_argument("--list-size", type=int, default=None,
+    gen_opts.add_argument("--n", type=int, help="vertex count")
+    gen_opts.add_argument("--delta", type=int, help="max-degree cap")
+    gen_opts.add_argument("--model", choices=MODELS)
+    gen_opts.add_argument("--seed", type=int)
+    gen_opts.add_argument("--list-size", type=int,
                           help="colors per list (default: delta)")
-    gen_opts.add_argument("--palette", type=int, default=None,
+    gen_opts.add_argument("--palette", type=int,
                           help="palette size, colors are 1..palette (default: 2*delta)")
 
     p = sub.add_parser("chordal", help="print an elimination order or a hole")
@@ -79,17 +80,19 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> GeneratorConfig:
-    list_size = args.list_size if args.list_size is not None else args.delta
-    palette = args.palette if args.palette is not None else 2 * args.delta
-    return GeneratorConfig(
-        n=args.n,
-        delta=args.delta,
-        model=args.model,
-        seed=args.seed if seed is None else seed,
-        palette=palette,
-        list_size=list_size,
-    )
+_GEN_DEFAULTS = {"n": 30, "delta": 4, "model": "tree-plus-edges", "seed": 0}
+
+
+def _given_gen_opts(args: argparse.Namespace) -> dict[str, int | str]:
+    return {k: v for k in (*_GEN_DEFAULTS, "list_size", "palette")
+            if (v := getattr(args, k)) is not None}
+
+
+def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
+    opts = {**_GEN_DEFAULTS, **_given_gen_opts(args)}
+    opts.setdefault("list_size", opts["delta"])
+    opts.setdefault("palette", 2 * opts["delta"])
+    return GeneratorConfig(**opts)
 
 
 def _cmd_chordal(args: argparse.Namespace) -> int:
@@ -111,14 +114,15 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     count = args.seedrun
     if count < 1:
         raise _UsageError("--seedrun needs a positive instance count")
+    config = _config_from_args(args)
     # seed by seed, so a batch holds one instance in memory at a time
     done = failed = 0
-    for seed in range(args.seed, args.seed + 100 * count + 1000):
-        g, lists = generate(_config_from_args(args, seed=seed))
-        if not check_hypotheses(g, lists).ok:
-            continue
+    for seed in range(config.seed, config.seed + 100 * count + 1000):
+        g, lists = generate(config._replace(seed=seed))
         try:
-            brooks_list_color(g, lists)  # verifies its own output
+            brooks_list_color(g, lists)  # screens the hypotheses, verifies its own output
+        except HypothesisViolation:
+            continue
         except Exception as exc:  # reported per seed; the batch goes on
             failed += 1
             print(f"seed {seed} fail {type(exc).__name__}: {exc}")
@@ -138,6 +142,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return _cmd_seedrun(args)
     if args.file is None:
         raise _UsageError("color needs an instance FILE (or --seedrun N)")
+    given = " ".join(f"--{k.replace('_', '-')}" for k in _given_gen_opts(args))
+    if given:
+        raise _UsageError(f"{given} only apply to --seedrun; drop them with FILE")
     # no vertex can need more colors than the vertex cap, so a larger K only
     # costs memory
     if args.uniform is not None and not 0 <= args.uniform <= MAX_VERTICES:

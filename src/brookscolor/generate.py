@@ -56,10 +56,6 @@ class SplitMix64:
         """Uniform-ish integer in [0, n) via modulo reduction."""
         return self.next_u64() % n
 
-    def float01(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
-
     def sample(self, pool: Sequence[int], k: int) -> list[int]:
         """k distinct elements of pool by a partial Fisher-Yates shuffle that
         stores only displaced entries: O(k), reading pool (a range will do) by index."""
@@ -170,8 +166,9 @@ def _gnp_capped(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
     # saturated endpoint cannot add an edge, so only pairs of unsaturated
     # vertices are drawn (pair (u, v) is draw `row + v` after p's) and the
     # state jumps over the rest. The mix is inlined because a call per draw
-    # costs more than the draw. With p = m / 2**53, float01() < p exactly
-    # when the raw draw is below m << 11.
+    # costs more than the draw. p is the first draw's top 53 bits over 2**53,
+    # and a pair's 53-bit fraction falls below p exactly when its raw draw is
+    # below p's draw with the low 11 bits cleared.
     threshold = (rng.next_u64() >> 11) << 11
     start = rng.state
     degree = [0] * (n + 1)
@@ -208,12 +205,18 @@ def random_lists(
     list_size: int,
     rng: SplitMix64 | int,
 ) -> ListAssignment:
-    """Uniform random list_size-subsets of {1..palette}, per vertex ascending."""
+    """Uniform random list_size-subsets of {1..palette}, per vertex ascending.
+    Equal lists are one shared object."""
     _check_list_params(len(vertices), palette, list_size)
     if isinstance(rng, int):
         rng = SplitMix64(rng)
     colors = range(1, palette + 1)
-    return {v: frozenset(rng.sample(colors, list_size)) for v in sorted(vertices)}
+    lists: ListAssignment = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    for v in sorted(vertices):
+        drawn = frozenset(rng.sample(colors, list_size))
+        lists[v] = shared.setdefault(drawn, drawn)
+    return lists
 
 
 def _check_list_params(n: int, palette: int, list_size: int) -> None:

@@ -8,6 +8,7 @@ computation reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Collection, Iterable, Iterator
 
 
@@ -32,22 +33,19 @@ class Graph:
 
     The one constructor is trusted: it takes a neighbor dict whose keys and
     neighbor tuples are in ascending id order, symmetric and loop-free, and
-    keeps it as is. Build graphs through :func:`build_graph`, which sorts, or
-    :func:`surgery`.
+    keeps it as is, as the graph's only field; every other view is derived
+    from it when read. Build graphs through :func:`build_graph`, which sorts,
+    or :func:`surgery`.
     """
 
-    __slots__ = ("_vertices", "_neighbors", "_neighbor_sets")
+    __slots__ = ("_neighbors",)
 
     def __init__(self, neighbors: dict[int, tuple[int, ...]]):
-        self._vertices: tuple[int, ...] = tuple(neighbors)
         self._neighbors = neighbors
-        # built per vertex on first neighbor_set() call; concurrent builds
-        # race benignly (same value, atomic dict store)
-        self._neighbor_sets: dict[int, frozenset[int]] = {}
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return self._vertices
+        return tuple(self._neighbors)
 
     @property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -57,7 +55,7 @@ class Graph:
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._neighbors)
 
     @property
     def m(self) -> int:
@@ -73,24 +71,22 @@ class Graph:
             raise UnknownVertex(f"vertex {v} is not in the graph") from None
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        try:
-            return self._neighbor_sets[v]
-        except KeyError:
-            if v not in self._neighbors:
-                raise UnknownVertex(f"vertex {v} is not in the graph") from None
-            made = self._neighbor_sets[v] = frozenset(self._neighbors[v])
-            return made
+        """A set of v's neighbors, built afresh on each call."""
+        return frozenset(self.neighbors(v))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self.neighbor_set(u)
+        """Binary search in u's ascending neighbor tuple."""
+        nbrs = self.neighbors(u)
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for v in self._vertices:
-            for u in self._neighbors[v]:
+        for v, nbrs in self._neighbors.items():
+            for u in nbrs:
                 if u > v:
                     yield (v, u)
 
@@ -160,7 +156,7 @@ def is_complete(g: Graph, s: Iterable[int]) -> bool:
         if not g.has_vertex(v):
             raise UnknownVertex(f"vertex {v} is not in the graph")
     want = len(members) - 1
-    return all(len(g.neighbor_set(v) & members) >= want for v in members)
+    return all(len(members.intersection(g.neighbors(v))) >= want for v in members)
 
 
 def surgery(

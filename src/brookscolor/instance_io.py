@@ -124,12 +124,13 @@ def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
 
     parse_instance(emit_instance(g, lists)) reproduces both arguments.
     """
-    if g.vertices != tuple(range(1, g.n + 1)):
+    ids = g.vertices
+    if ids != tuple(range(1, len(ids) + 1)):
         raise ValueError("emit requires contiguous vertex ids 1..n")
     out = [f"p edge {g.n} {g.m}"]
     out.extend(f"e {u} {v}" for u, v in g.edges())
     if lists is not None:
-        for v in g.vertices:
+        for v in ids:
             colors = " ".join(str(c) for c in sorted(lists[v]))
             out.append(f"l {v} {colors}".rstrip())
     return "\n".join(out) + "\n"

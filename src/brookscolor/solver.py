@@ -27,7 +27,7 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import filterfalse, product
 from typing import NamedTuple
 
 from .chordal import (
@@ -58,7 +58,7 @@ class InvalidHole(Exception):
     """The supplied cycle is not a hole of the graph."""
 
 
-class BothBranchesBlocked(Exception):
+class BothBranchesBlocked(InternalInvariantBroken):
     """Both branch graphs contain a complete component on delta+1 vertices.
 
     Unreachable when the branch pair comes from a hole of a connected graph
@@ -67,7 +67,7 @@ class BothBranchesBlocked(Exception):
     """
 
 
-class NoStartPair(Exception):
+class NoStartPair(InternalInvariantBroken):
     """No cycle pair (a, b) and color c in L*(a) leaves L*(b) two colors.
 
     Unreachable when the residual lists come from a proper branch coloring;
@@ -75,8 +75,9 @@ class NoStartPair(Exception):
     """
 
 
-class ResidualTooSmall(Exception):
-    """A residual list has fewer than two colors (invariant violation)."""
+class ResidualTooSmall(InternalInvariantBroken):
+    """A residual list has fewer than two colors; unreachable under the
+    solver's hypotheses."""
 
     def __init__(self, vertex: int):
         super().__init__(f"residual list of cycle vertex {vertex} has < 2 colors")
@@ -166,7 +167,7 @@ def _validate_hole(g: Graph, c: Hole) -> None:
         if not g.adjacent(v, x[(i + 1) % k]):
             raise InvalidHole(f"cycle vertices {v} and {x[(i + 1) % k]} are not adjacent")
         # exactly the two cyclic neighbors may appear in the closed cycle set
-        if len(g.neighbor_set(v) & cyc) != 2:
+        if len(cyc.intersection(g.neighbors(v))) != 2:
             raise InvalidHole(f"cycle has a chord at vertex {v}")
 
 
@@ -232,39 +233,30 @@ def residual_lists(
 def extend_around_cycle(c: Hole, lists: ListAssignment) -> Coloring:
     """Proper coloring of the cycle from residual lists of size >= 2.
 
-    Scans ordered adjacent pairs (a, b) -- the forward sweep from the stored
-    x_1, then the reverse sweep -- and colors c in L*(a) ascending, until
-    removing c from L*(b) still leaves two colors. The cycle is relabeled so
-    a, b become x_1, x_2; x_1 takes c; then x_k down to x_3 each take their
-    smallest color differing from the successor's (x_k differs from x_1), and
-    x_2 finally avoids both x_1 and x_3.
+    The walk starts at an ordered adjacent pair (a, b) and a color of L*(a)
+    that leaves L*(b) two colors: any color of L*(a) if |L*(b)| >= 3, else
+    one of L*(a) - L*(b). Pairs are scanned along the forward sweep from the
+    stored x_1, then the reverse sweep; the first pair with such a color
+    starts, with the smallest one. The cycle is relabeled so a, b become x_1,
+    x_2; x_1 takes that color; then x_k down to x_3 each take their smallest
+    color differing from the successor's (x_k differs from x_1), and x_2
+    finally avoids both x_1 and x_3.
     """
     x = c.cycle
     k = len(x)
     for xi in x:
         if len(lists[xi]) < 2:
             raise ResidualTooSmall(xi)
-
-    pairs = [(x[i], x[(i + 1) % k]) for i in range(k)]
-    pairs += [(x[i], x[(i - 1) % k]) for i in range(k)]
-    start: tuple[int, int, int] | None = None
-    for a, b in pairs:
-        for color in sorted(lists[a]):
-            if len(lists[b] - {color}) >= 2:
-                start = (a, b, color)
-                break
-        if start is not None:
+    for step, i in product((1, -1), range(k)):
+        after = lists[x[(i + step) % k]]
+        choices = lists[x[i]] if len(after) >= 3 else lists[x[i]] - after
+        if choices:
             break
-    if start is None:
-        raise NoStartPair("every adjacent pair has the same two-color residual list")
-
-    a, b, c1 = start
-    ia = x.index(a)
-    if x[(ia + 1) % k] == b:
-        relabeled = tuple(x[(ia + j) % k] for j in range(k))
     else:
-        relabeled = tuple(x[(ia - j) % k] for j in range(k))
+        raise NoStartPair("every adjacent pair has the same two-color residual list")
+    relabeled = [x[(i + step * j) % k] for j in range(k)]
 
+    c1 = min(choices)
     colors: Coloring = {relabeled[0]: c1}
     succ = c1  # color of x_{i+1}, with x_{k+1} meaning x_1
     for i in range(k - 1, 1, -1):
@@ -328,19 +320,16 @@ def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
     # lists of exactly D colors, not complete. rounds holds the tight graph and
     # its hole of each round, outermost first.
     rounds: list[tuple[Graph, Hole]] = []
-    try:
-        while g.n:
-            hole = chordality_certificate(g).hole
-            if hole is None:
-                raise InternalInvariantBroken("a tight component is chordal, so complete")
-            rounds.append((g, hole))
-            branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
-            roots = sorted({u for x in hole.cycle if not branch.has_vertex(x)
-                            for u in g.neighbors(x)
-                            if branch.has_vertex(u) and len(lists[u]) > branch.degree(u)})
-            colored = _color_slack(branch, lists, colors, roots)
-            g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph({})
-        for outer, hole in reversed(rounds):
-            colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))
-    except (BothBranchesBlocked, NoStartPair, ResidualTooSmall) as exc:
-        raise InternalInvariantBroken(str(exc)) from exc
+    while g.n:
+        hole = chordality_certificate(g).hole
+        if hole is None:
+            raise InternalInvariantBroken("a tight component is chordal, so complete")
+        rounds.append((g, hole))
+        branch, _retained = select_branch(build_branch_pair(g, hole), g.degree(hole.cycle[0]))
+        roots = sorted({u for x in hole.cycle if not branch.has_vertex(x)
+                        for u in g.neighbors(x)
+                        if branch.has_vertex(u) and len(lists[u]) > branch.degree(u)})
+        colored = _color_slack(branch, lists, colors, roots)
+        g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph({})
+    for outer, hole in reversed(rounds):
+        colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))

@@ -16,10 +16,15 @@ from brookscolor import (
     DuplicateListLine,
     EndpointDeleted,
     Graph,
+    Hole,
     HypothesisViolation,
     InfeasibleConfig,
+    NoStartPair,
+    NotAPermutation,
     OracleOutcome,
     ParseError,
+    PeoViolation,
+    ResidualTooSmall,
     SelfLoop,
     SplitMix64,
     UnknownVertex,
@@ -29,7 +34,9 @@ from brookscolor import (
     chordality_certificate,
     connected_components,
     extend_around_cycle,
+    find_hole_from_witness,
     greedy_color_along,
+    mcs_order,
     residual_lists,
     select_branch,
 )
@@ -327,13 +334,18 @@ def chordal_simplicial_rescan(n: int, delta: int, rng: SplitMix64) -> list[tuple
     return edges
 
 
+def float01(rng: SplitMix64) -> float:
+    """The next draw's top 53 bits as a float in [0, 1)."""
+    return (rng.next_u64() >> 11) / float(1 << 53)
+
+
 def gnp_capped_every_draw(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
-    p = rng.float01()
+    p = float01(rng)
     degree = {v: 0 for v in range(1, n + 1)}
     edges: list[tuple[int, int]] = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            if rng.float01() < p and degree[u] < delta and degree[v] < delta:
+            if float01(rng) < p and degree[u] < delta and degree[v] < delta:
                 edges.append((u, v))
                 degree[u] += 1
                 degree[v] += 1
@@ -570,3 +582,97 @@ def parse_instance_tuples(text: str):
     if not lists:
         return g, None
     return g, {v: lists.get(v, frozenset()) for v in g.vertices}
+
+
+# ------------------------------------------------ two-walker certificate
+# The certificate's form before one walker served both: verify_peo and the
+# certificate each ran their own loop over an order, and the anchor's
+# neighbor set came from a per-graph cache. The package's one walker must
+# give the same violation, order or hole.
+
+def _violation_anchored(g: Graph, v: int, earlier: list[int], pos: dict[int, int]):
+    if len(earlier) <= 1:
+        return None
+    anchor = max(earlier, key=pos.__getitem__)
+    anchor_nbrs = g.neighbor_set(anchor)
+    if all(u == anchor or u in anchor_nbrs for u in earlier):
+        return None
+    earlier.sort()
+    for a_idx, a in enumerate(earlier):
+        a_nbrs = g.neighbor_set(a)
+        for b in earlier[a_idx + 1:]:
+            if b not in a_nbrs:
+                return PeoViolation(vertex=v, witness_pair=(a, b))
+    raise AssertionError("reduced check failed but no bad pair found")
+
+
+def verify_peo_two_walkers(g: Graph, order) -> PeoViolation | None:
+    seq = tuple(order)
+    if len(seq) != g.n or set(seq) != set(g.vertices):
+        raise NotAPermutation("order must be a permutation of the graph's vertices")
+    pos = {v: i for i, v in enumerate(seq)}
+    for i, v in enumerate(seq):
+        viol = _violation_anchored(g, v, [u for u in g.neighbors(v) if pos[u] < i], pos)
+        if viol is not None:
+            return viol
+    return None
+
+
+def certificate_two_walkers(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(order, None) if the MCS order is perfect, else (None, hole)."""
+    pos: dict[int, int] = {}
+    for v in mcs_order(g):
+        viol = _violation_anchored(g, v, [u for u in g.neighbors(v) if u in pos], pos)
+        if viol is not None:
+            break
+        pos[v] = len(pos)
+    else:
+        return tuple(pos), None
+    cycle = find_hole_from_witness(g, viol.vertex, *viol.witness_pair).cycle
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if cycle[-1] < cycle[1]:
+        cycle = (cycle[0], *reversed(cycle[1:]))
+    return None, cycle
+
+
+# ------------------------------------------------- cycle lemma by pair scan
+# extend_around_cycle's first form: a list of all 2k ordered pairs, each
+# L*(a) scanned in sorted order for a color leaving L*(b) two colors, then the
+# start pair looked up in the cycle. The package states the start rule
+# outright and must give the same coloring or the same exception.
+
+def extend_around_cycle_pairs(c: Hole, lists) -> dict[int, int]:
+    x = c.cycle
+    k = len(x)
+    for xi in x:
+        if len(lists[xi]) < 2:
+            raise ResidualTooSmall(xi)
+    pairs = [(x[i], x[(i + 1) % k]) for i in range(k)]
+    pairs += [(x[i], x[(i - 1) % k]) for i in range(k)]
+    start = None
+    for a, b in pairs:
+        for color in sorted(lists[a]):
+            if len(lists[b] - {color}) >= 2:
+                start = (a, b, color)
+                break
+        if start is not None:
+            break
+    if start is None:
+        raise NoStartPair("every adjacent pair has the same two-color residual list")
+    a, b, c1 = start
+    ia = x.index(a)
+    if x[(ia + 1) % k] == b:
+        relabeled = tuple(x[(ia + j) % k] for j in range(k))
+    else:
+        relabeled = tuple(x[(ia - j) % k] for j in range(k))
+    colors = {relabeled[0]: c1}
+    succ = c1
+    for i in range(k - 1, 1, -1):
+        xi = relabeled[i]
+        pick = min(lists[xi] - {succ})
+        colors[xi] = pick
+        succ = pick
+    x2 = relabeled[1]
+    colors[x2] = min(lists[x2] - {c1, succ})
+    return colors

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from brookscolor import (
     ChordalityCertificate,
     GeneratorConfig,
+    Graph,
     Hole,
     InvalidPeo,
     ListExhausted,
@@ -30,6 +31,7 @@ from brookscolor import (
 
 from reference import (
     certificate_pipeline,
+    certificate_two_walkers,
     complete_graph,
     cycle_graph,
     first_peo_violation_bruteforce,
@@ -39,6 +41,7 @@ from reference import (
     mcs_order_heap,
     path_graph,
     petersen_graph,
+    verify_peo_two_walkers,
 )
 from strategies import graphs, nonchordal_graphs, relabelled
 
@@ -242,6 +245,39 @@ def test_certificate_matches_heap_reference_on_sparse_graphs():
         peo, hole = certificate_pipeline(g)
         assert cert.peo == peo
         assert cert.hole == (None if hole is None else Hole(hole))
+
+
+@given(relabelled(st.one_of(graphs(max_n=12), nonchordal_graphs(max_n=12))),
+       st.randoms(use_true_random=False))
+def test_one_walker_matches_two_walker_reference(g, rnd):
+    # verify_peo and the certificate share one walker; each answers as its
+    # own loop did: the same violation, order or hole
+    cert = chordality_certificate(g)
+    assert (cert.peo, None if cert.hole is None else cert.hole.cycle) == \
+        certificate_two_walkers(g)
+    order = list(g.vertices)
+    rnd.shuffle(order)
+    for seq in (order, mcs_order(g)):
+        assert verify_peo(g, seq) == verify_peo_two_walkers(g, seq)
+
+
+def test_certificate_builds_each_anchor_set_once(monkeypatch):
+    # K5 on 1..5 joined to 20 000 more vertices: vertex 5 anchors the check of
+    # every one of them, and a set rebuilt per check would cost 20 000 x 20 004
+    n = 20_005
+    g = build_graph(n, [*itertools.combinations(range(1, 6), 2),
+                        *((c, v) for c in range(1, 6) for v in range(6, n + 1))])
+    built = []
+    real = Graph.neighbor_set
+
+    def spy(self, v):
+        built.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Graph, "neighbor_set", spy)
+    cert = chordality_certificate(g)
+    assert cert.peo == tuple(range(1, n + 1))
+    assert built == [2, 3, 4, 5]
 
 
 # ------------------------------------------------------ clique_number_from_peo

@@ -17,7 +17,7 @@ from brookscolor import (
     uniform_lists,
     verify_coloring,
 )
-from brookscolor import cli
+from brookscolor import cli, solver
 from brookscolor.cli import main
 
 from reference import complete_graph, cycle_graph, four_rounds_22, path_graph, petersen_graph
@@ -222,6 +222,30 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
     assert events.index("color") < len(events) - 1 - events[::-1].index("generate")
 
 
+def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
+    # the solver's own hypothesis scan screens a seed; no second pass over it
+    generated, passes = [], []
+    real_generate, real_components = cli.generate, solver.connected_components
+
+    def generate(config):
+        generated.append(config.seed)
+        return real_generate(config)
+
+    def components(g):
+        passes.append(g.n)
+        return real_components(g)
+
+    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(solver, "connected_components", components)
+    # lists of 3 colors: seeds 1, 2, 5, 6, 8 and 9 have a component of max
+    # degree 4 and fail the hypotheses
+    code, out, _ = run(capsys, ["color", "--seedrun", "4", "--model", "gnp-capped", "--n", "8",
+                                "--delta", "4", "--list-size", "3", "--seed", "1"])
+    assert code == 0 and out.splitlines()[-1] == "pass 4 fail 0"
+    assert generated == list(range(1, 11))
+    assert len(passes) == len(generated)
+
+
 def test_seedrun_with_file_is_usage_error(capsys, c5_file):
     code, _, err = run(capsys, ["color", c5_file, "--seedrun", "2"])
     assert code == 64 and "usage error" in err
@@ -263,7 +287,11 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert code == 64 and out == "" and "--uniform" in err
     monkeypatch.setattr(cli, "_read", None)  # negative counts are refused before any read
     for argv in (["color", str(edge), "--uniform", "-1"], ["oracle", str(edge), "--limit", "-1"],
-                 ["color", "--seedrun", "2", "--n", "10", "--delta", "3", "--uniform", "-1"]):
+                 ["color", "--seedrun", "2", "--n", "10", "--delta", "3", "--uniform", "-1"],
+                 # generator flags only feed --seedrun, so with FILE they are refused
+                 ["color", str(edge), "--n", "5", "--model", "gnp-capped", "--palette", "-3"],
+                 ["color", str(edge), "--delta", "3"], ["color", str(edge), "--seed", "0"],
+                 ["color", str(edge), "--list-size", "2"]):
         code, out, err = run(capsys, argv)
         assert code == 64 and out == "" and argv[-2] in err, argv
 

@@ -20,7 +20,7 @@ from brookscolor import (
 from brookscolor.generate import MAX_GNP_VERTICES, MAX_LIST_ENTRIES
 from brookscolor.instance_io import MAX_VERTICES
 
-from reference import QUADRATIC_GENERATORS, sample_copying
+from reference import QUADRATIC_GENERATORS, float01, sample_copying
 
 
 def test_splitmix64_known_stream():
@@ -33,10 +33,9 @@ def test_splitmix64_known_stream():
     ]
 
 
-def test_splitmix64_below_and_float_ranges():
+def test_splitmix64_below_range():
     rng = SplitMix64(123)
     assert all(0 <= rng.below(7) < 7 for _ in range(100))
-    assert all(0.0 <= rng.float01() < 1.0 for _ in range(100))
 
 
 def test_single_vertex_all_models():
@@ -111,6 +110,13 @@ def test_random_lists_sizes_and_range():
     assert all(lists[v] == frozenset({1, 2, 3, 4, 5}) for v in (1, 2, 3))
     with pytest.raises(InfeasibleConfig):
         random_lists((1,), palette=2, list_size=3, rng=0)
+
+
+def test_generate_shares_equal_lists():
+    # 3-subsets of 4 colors: 2 000 vertices draw each of the 4 possible lists,
+    # and each distinct list is one object, as the parser's are
+    _, lists = generate(GeneratorConfig(n=2000, delta=3, seed=5, palette=4, list_size=3))
+    assert len({id(colors) for colors in lists.values()}) == len(set(lists.values())) == 4
 
 
 def test_gnp_capped_density_varies_with_seed():
@@ -191,7 +197,7 @@ def test_generator_streams_pinned():
                 continue
             text = emit_instance(*generate(cfg))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, cfg
-            if model == "gnp-capped" and n > 1 and SplitMix64(seed).float01() < delta / n:
+            if model == "gnp-capped" and n > 1 and float01(SplitMix64(seed)) < delta / n:
                 sparse_gnp += 1  # p < delta/n: few vertices saturate, most pairs drawn
     assert sparse_gnp >= 10
 

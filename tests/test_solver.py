@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -40,6 +41,7 @@ from reference import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    extend_around_cycle_pairs,
     generalized_petersen,
     petersen_graph,
 )
@@ -290,6 +292,36 @@ def test_extend_matches_exhaustive_search_under_precondition(k, data):
     valid = list(all_cycle_colorings(cycle, lists))
     assert valid, "exhaustive search must also succeed"
     assert out in valid
+
+
+@given(st.integers(min_value=3, max_value=9), st.data())
+def test_extend_matches_pair_scan_reference(k, data):
+    # the start rule stated outright gives what the scan of all 2k ordered
+    # pairs gave: the same coloring, or the same exception and message
+    cycle = tuple(data.draw(st.lists(st.integers(0, 50), min_size=k, max_size=k, unique=True)))
+    lists = {v: data.draw(st.frozensets(st.integers(1, 5), min_size=1, max_size=5))
+             for v in cycle}
+    assert _extend_outcome(extend_around_cycle, cycle, lists) == \
+        _extend_outcome(extend_around_cycle_pairs, cycle, lists)
+
+
+def test_extend_matches_pair_scan_reference_on_all_short_cycles():
+    # every assignment of nonempty subsets of {1, 2, 3} to cycles of 3 to 5
+    # vertices, where lists of 3 and lists contained in a neighbor's are common
+    subsets = [frozenset(s) for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
+    for k in (3, 4, 5):
+        cycle = tuple(range(1, k + 1))
+        for chosen in itertools.product(subsets, repeat=k):
+            lists = dict(zip(cycle, chosen))
+            assert _extend_outcome(extend_around_cycle, cycle, lists) == \
+                _extend_outcome(extend_around_cycle_pairs, cycle, lists), lists
+
+
+def _extend_outcome(extend, cycle, lists):
+    try:
+        return extend(Hole(cycle), lists)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # ------------------------------------------------------------ brooks_list_color
@@ -589,14 +621,15 @@ def test_brooks_work_is_linear_in_many_components(monkeypatch):
     read = [0]
 
     def vertices(self):
-        read[0] += len(self._vertices)
-        return self._vertices
+        ids = tuple(self._neighbors)
+        read[0] += len(ids)
+        return ids
 
     monkeypatch.setattr(Graph, "vertices", property(vertices))
     monkeypatch.setattr(Graph, "adjacency",
                         property(lambda self: _CountedAdjacency(self._neighbors, read)))
     phi = brooks_list_color(g, lists)
-    # 20.9 n, where one pass over the graph reads n + 2m = 2.7 n; carving each
+    # 21.3 n, where one pass over the graph reads n + 2m = 2.7 n; carving each
     # of the 200 tight components out of the whole graph would add 200 n
     assert read[0] <= 40 * g.n, read[0]
     assert verify_coloring(g, lists, phi) is None
@@ -643,7 +676,7 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
     phi = brooks_list_color(g, lists)
     assert branch_picks == ["F", "F", "F", "F"]
     assert sizes == [2022, 2018, 2014, 2010]
-    # 25.3 n: 16 n for the input's components, hypothesis check and final
+    # 25.4 n: 16 n for the input's components, hypothesis check and final
     # verification, 9 n to order and color the 2 000 vertices the last round
     # frees. A whole-graph pass in each of the four rounds would add 16 n.
     assert reads[0] <= 30 * g.n, reads[0]
