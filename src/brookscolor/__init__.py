@@ -10,14 +10,12 @@ from .chordal import (
     Coloring,
     Hole,
     InternalInvariantBroken,
-    InvalidPeo,
     ListAssignment,
     ListExhausted,
     NotAPermutation,
     PeoViolation,
     PreconditionBreach,
     chordality_certificate,
-    clique_number_from_peo,
     find_hole_from_witness,
     greedy_color_along,
     mcs_order,

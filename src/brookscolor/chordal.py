@@ -32,10 +32,6 @@ class PreconditionBreach(Exception):
     """A witness triple did not satisfy the documented preconditions."""
 
 
-class InvalidPeo(Exception):
-    """An order claimed to be a perfect elimination ordering is not one."""
-
-
 class ListExhausted(Exception):
     """Greedy coloring found no free color in some vertex's list."""
 
@@ -223,24 +219,6 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     if cycle[-1] < cycle[1]:
         cycle = (cycle[0], *reversed(cycle[1:]))
     return ChordalityCertificate(hole=Hole(cycle))
-
-
-def clique_number_from_peo(g: Graph, peo: Sequence[int]) -> int:
-    """Clique number of a chordal graph, read off a verified elimination order.
-
-    Every clique appears as some vertex together with its earlier neighbors,
-    so the maximum of (1 + earlier degree) over the order is exact.
-    """
-    seq = tuple(peo)
-    if verify_peo(g, seq) is not None:
-        raise InvalidPeo("order is not a perfect elimination ordering")
-    pos = {v: i for i, v in enumerate(seq)}
-    best = 0
-    for i, v in enumerate(seq):
-        earlier = sum(1 for u in g.neighbors(v) if pos[u] < i)
-        if earlier + 1 > best:
-            best = earlier + 1
-    return best
 
 
 def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment) -> Coloring:

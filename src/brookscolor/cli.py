@@ -198,8 +198,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g, lists = generate(_config_from_args(args))
-    sys.stdout.write(emit_instance(g, lists))
+    text = emit_instance(*generate(_config_from_args(args)))  # the graph is freed before the write
+    sys.stdout.write(text)
     return EXIT_OK
 
 

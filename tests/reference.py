@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from collections import deque
 
 from typing import Iterable
@@ -39,6 +40,7 @@ from brookscolor import (
     mcs_order,
     residual_lists,
     select_branch,
+    verify_peo,
 )
 from brookscolor.instance_io import MAX_VERTICES
 
@@ -676,3 +678,89 @@ def extend_around_cycle_pairs(c: Hole, lists) -> dict[int, int]:
     x2 = relabeled[1]
     colors[x2] = min(lists[x2] - {c1, succ})
     return colors
+
+
+# ------------------------------------------------------------ clique number
+# Read off an elimination order; only the tests need it, to size lists at the
+# clique number of a generated chordal graph.
+
+class InvalidPeo(Exception):
+    """An order claimed to be a perfect elimination ordering is not one."""
+
+
+def clique_number_from_peo(g: Graph, peo) -> int:
+    """Clique number of a chordal graph, read off a verified elimination order.
+
+    Every clique appears as some vertex together with its earlier neighbors,
+    so the maximum of (1 + earlier degree) over the order is exact.
+    """
+    seq = tuple(peo)
+    if verify_peo(g, seq) is not None:
+        raise InvalidPeo("order is not a perfect elimination ordering")
+    pos = {v: i for i, v in enumerate(seq)}
+    best = 0
+    for i, v in enumerate(seq):
+        earlier = sum(1 for u in g.neighbors(v) if pos[u] < i)
+        if earlier + 1 > best:
+            best = earlier + 1
+    return best
+
+
+# ------------------------------------------- kept list, per-vertex join
+# The generators' and emit's earlier forms: every draw is a next_u64() call,
+# each list is one sample() call and never shared, chordal-simplicial keeps
+# its unsaturated vertices in an ascending list, and emit_instance joins
+# every vertex's colors anew. The package must give the same lists, edges,
+# stream state and text.
+
+def sample_per_draw(rng: SplitMix64, pool, k: int) -> list[int]:
+    """SplitMix64.sample with one next_u64() call per draw."""
+    moved: dict[int, int] = {}
+    picked = []
+    for i in range(k):
+        j = i + rng.next_u64() % (len(pool) - i)
+        picked.append(moved[j] if j in moved else pool[j])
+        moved[j] = moved[i] if i in moved else pool[i]
+    return picked
+
+
+def random_lists_per_draw(vertices, palette: int, list_size: int, rng: SplitMix64):
+    colors = range(1, palette + 1)
+    return {v: frozenset(sample_per_draw(rng, colors, list_size)) for v in sorted(vertices)}
+
+
+def chordal_simplicial_kept_list(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    degree = [0] * (n + 1)
+    unsat = [1]  # ascending: the vertices below v with degree under the cap
+    edges: list[tuple[int, int]] = []
+    cliques: list[tuple[int, ...]] = [(1,)]
+    for v in range(2, n + 1):
+        base = cliques[rng.next_u64() % len(cliques)]
+        eligible = [u for u in base if degree[u] < delta]
+        if not eligible:
+            eligible = [unsat[rng.next_u64() % len(unsat)]]
+        size_cap = delta if v == n else delta - 1
+        if size_cap < 1:
+            raise InfeasibleConfig("degree cap too small")
+        size = 1 + rng.next_u64() % min(len(eligible), size_cap)
+        chosen = sample_per_draw(rng, eligible, size)
+        for u in chosen:
+            edges.append((u, v))
+            degree[u] += 1
+            if degree[u] == delta:
+                del unsat[bisect_left(unsat, u)]
+        degree[v] = size
+        if size < delta:
+            unsat.append(v)
+        cliques.append(tuple(sorted((*chosen, v))))
+    return edges
+
+
+def emit_instance_joined(g: Graph, lists=None) -> str:
+    out = [f"p edge {g.n} {g.m}"]
+    out.extend(f"e {u} {v}" for u, v in g.edges())
+    if lists is not None:
+        for v in g.vertices:
+            colors = " ".join(str(c) for c in sorted(lists[v]))
+            out.append(f"l {v} {colors}".rstrip())
+    return "\n".join(out) + "\n"

@@ -18,7 +18,6 @@ from brookscolor import (
     build_graph,
     check_hypotheses,
     chordality_certificate,
-    clique_number_from_peo,
     emit_instance,
     generate,
     greedy_color_along,
@@ -34,6 +33,7 @@ from brookscolor.chordal import Hole
 from brookscolor.cli import main
 
 from reference import (
+    clique_number_from_peo,
     complete_graph,
     cycle_graph,
     is_chordal_bruteforce,

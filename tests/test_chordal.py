@@ -10,14 +10,12 @@ from brookscolor import (
     GeneratorConfig,
     Graph,
     Hole,
-    InvalidPeo,
     ListExhausted,
     NotAPermutation,
     PeoViolation,
     PreconditionBreach,
     build_graph,
     chordality_certificate,
-    clique_number_from_peo,
     find_hole_from_witness,
     generate,
     greedy_color_along,
@@ -30,8 +28,10 @@ from brookscolor import (
 )
 
 from reference import (
+    InvalidPeo,
     certificate_pipeline,
     certificate_two_walkers,
+    clique_number_from_peo,
     complete_graph,
     cycle_graph,
     first_peo_violation_bruteforce,

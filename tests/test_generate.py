@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,11 @@ from brookscolor import (
 from brookscolor.generate import MAX_GNP_VERTICES, MAX_LIST_ENTRIES
 from brookscolor.instance_io import MAX_VERTICES
 
-from reference import QUADRATIC_GENERATORS, float01, sample_copying
+from reference import (QUADRATIC_GENERATORS, chordal_simplicial_kept_list, float01,
+                       random_lists_per_draw, sample_copying)
+
+# the module; the package re-exports the function generate under its name
+gen_mod = importlib.import_module("brookscolor.generate")
 
 
 def test_splitmix64_known_stream():
@@ -105,6 +110,15 @@ def test_infeasible_configs(no_list_draws):
             random_lists(range(1, n + 1), palette=palette, list_size=list_size, rng=0)
 
 
+def test_no_list_draws_guard_stops_a_valid_draw(no_list_draws):
+    # the guard test_infeasible_configs relies on must catch the real draw,
+    # through generate() and through random_lists()
+    for draw in (lambda: generate(GeneratorConfig(n=3, delta=2)),
+                 lambda: random_lists((1, 2), palette=4, list_size=2, rng=0)):
+        with pytest.raises(AssertionError, match="color list was drawn"):
+            draw()
+
+
 def test_random_lists_sizes_and_range():
     lists = random_lists((1, 2, 3), palette=5, list_size=5, rng=0)
     assert all(lists[v] == frozenset({1, 2, 3, 4, 5}) for v in (1, 2, 3))
@@ -149,6 +163,29 @@ def test_sparse_sample_matches_copying_shuffle(seed, data):
     sparse, copying = SplitMix64(seed), SplitMix64(seed)
     assert sparse.sample(pool, k) == sample_copying(copying, pool, k)
     assert sparse.state == copying.state
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_random_lists_match_per_draw_sampling(seed, data):
+    palette = data.draw(st.one_of(st.integers(0, 30), st.integers(31, 10**12)))
+    list_size = data.draw(st.integers(0, min(palette, 30)))
+    # shuffled, non-contiguous ids
+    vertices = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=25))
+    inline, per_draw = SplitMix64(seed), SplitMix64(seed)
+    lists = random_lists(vertices, palette, list_size, inline)
+    expected = random_lists_per_draw(vertices, palette, list_size, per_draw)
+    assert list(lists.items()) == list(expected.items())
+    assert inline.state == per_draw.state
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=5000),
+       st.integers(min_value=2, max_value=8))
+def test_chordal_simplicial_matches_kept_list(seed, n, delta):
+    # sizes well past the quadratic reference's, so the Fenwick tree's select
+    # and remove run at depth
+    tree, kept = SplitMix64(seed), SplitMix64(seed)
+    assert gen_mod._chordal_simplicial(n, delta, tree) == chordal_simplicial_kept_list(n, delta, kept)
+    assert tree.state == kept.state
 
 
 def test_random_lists_draw_from_a_huge_palette():

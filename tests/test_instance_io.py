@@ -16,7 +16,8 @@ from brookscolor import (
     uniform_lists,
 )
 
-from reference import parse_instance_tuples, path_graph
+from reference import emit_instance_joined, parse_instance_tuples, path_graph
+from strategies import graphs
 
 
 def test_parse_path():
@@ -185,3 +186,20 @@ def instance_texts(draw):
 @example("")
 def test_parse_matches_edge_tuple_reference(text):
     assert _outcome(parse_instance, text) == _outcome(parse_instance_tuples, text)
+
+
+_COLORS = st.integers(min_value=-5, max_value=10**12)
+
+
+@given(graphs(), st.data())
+def test_emit_matches_per_vertex_join(g, data):
+    # shared list objects, as the parser and the generators make them ...
+    pool = data.draw(st.lists(st.frozensets(_COLORS, max_size=5), min_size=1, max_size=3))
+    shared = {v: data.draw(st.sampled_from(pool)) for v in g.vertices}
+    # ... and one object per vertex, of every container emit reads
+    fresh = {v: data.draw(st.one_of(st.frozensets(_COLORS, max_size=5),
+                                    st.sets(_COLORS, max_size=5),
+                                    st.lists(_COLORS, unique=True, max_size=5)))
+             for v in g.vertices}
+    for lists in (None, shared, fresh):
+        assert emit_instance(g, lists) == emit_instance_joined(g, lists)
