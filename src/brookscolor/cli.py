@@ -1,8 +1,9 @@
 """Command line surface: chordal, color, verify, oracle, gen.
 
-Exit codes: 0 success; 1 hole found (chordal); 2 hypothesis violation
-(color); 3 coloring defect (verify); 4 unsatisfiable, 5 node limit (oracle);
-64 usage or file-access problems; 65 malformed input data.
+Exit codes: 0 success; 1 hole found (chordal) or a failed seed (color
+--seedrun); 2 hypothesis violation (color); 3 coloring defect (verify);
+4 unsatisfiable, 5 node limit (oracle); 64 usage or file-access problems;
+65 malformed input data.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .solver import HypothesisViolation, brooks_list_color
 
 EXIT_OK = 0
 EXIT_HOLE = 1
+EXIT_SEED_FAILED = 1  # color --seedrun: some seed's solve raised
 EXIT_HYPOTHESIS = 2
 EXIT_DEFECT = 3
 EXIT_UNSAT = 4
@@ -134,7 +136,7 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     else:
         raise _UsageError("could not generate enough hypothesis-satisfying instances")
     print(f"pass {count - failed} fail {failed}")
-    return EXIT_OK if not failed else 1
+    return EXIT_OK if not failed else EXIT_SEED_FAILED
 
 
 def _cmd_color(args: argparse.Namespace) -> int:

@@ -283,11 +283,13 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
         edges = _chordal_simplicial(config.n, config.delta, rng)
     else:
         edges = _gnp_capped(config.n, config.delta, rng)
-    # the models' edges are distinct and in 1..n: no checks, no de-duplication
-    neighbors: list[list[int]] = [[] for _ in range(config.n + 1)]
+    # the models' edges are distinct and in 1..n: no checks, no de-duplication.
+    # Each id is one object, ids[v], stored as key and as every neighbor entry.
+    ids = list(range(config.n + 1))
+    neighbors: list[list[int]] = [[] for _ in ids]
     for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    g = Graph({v: tuple(sorted(neighbors[v])) for v in range(1, config.n + 1)})
-    del edges, neighbors  # freed before the lists are drawn: a lower peak
+        neighbors[u].append(ids[v])
+        neighbors[v].append(ids[u])
+    g = Graph({v: tuple(sorted(neighbors[v])) for v in ids[1:]})
+    del edges, neighbors, ids  # freed before the lists are drawn: a lower peak
     return g, _draw_lists(g.vertices, config.palette, config.list_size, rng)

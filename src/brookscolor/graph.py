@@ -36,6 +36,14 @@ class Graph:
     keeps it as is, as the graph's only field; every other view is derived
     from it when read. Build graphs through :func:`build_graph`, which sorts,
     or :func:`surgery`.
+
+    Every neighbor entry is its vertex's key object, not merely an equal
+    int. Dict and set lookups compare identity before ``==``, and CPython
+    caches only the ints up to 256, so above that a mere equal int costs a
+    rich comparison on every lookup of the solver's passes. ``build_graph``
+    and ``generate`` make it so; ``surgery`` (for added edges between g's own
+    vertex objects, as a hole's are) and ``_closed_part`` (for a part read
+    from g) keep it.
     """
 
     __slots__ = ("_neighbors",)
@@ -103,25 +111,34 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
     """Build a graph from a vertex-id collection (or a count n, meaning 1..n)
     and unordered edge pairs. Duplicate edges collapse silently.
 
-    Each vertex's neighbors are gathered in a list, then de-duplicated and
-    sorted once.
+    Each vertex's neighbors are gathered in a list that starts with the
+    vertex's own key, so an edge stores the other endpoint's key object, not
+    the caller's int. Each list is then de-duplicated and sorted once, into a
+    tuple that replaces it in the same dict.
     """
     ids = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else n_or_ids
-    adjacency: dict[int, list[int]] = {}
+    gather: dict = {}  # id -> its gather list, then its neighbor tuple
     for v in ids:
         if v < 0:
             raise UnknownVertex(f"vertex ids must be non-negative, got {v}")
-        adjacency.setdefault(v, [])
+        gather.setdefault(v, [v])
     for u, v in edges:
         if u == v:
             raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
-        if u not in adjacency:
-            raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
-        if v not in adjacency:
-            raise UnknownVertex(f"edge endpoint {v} is not a declared vertex")
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph({v: tuple(sorted(set(adjacency[v]))) for v in sorted(adjacency)})
+        try:
+            at_u = gather[u]
+            at_v = gather[v]
+        except KeyError:
+            unknown = v if u in gather else u
+            raise UnknownVertex(f"edge endpoint {unknown} is not a declared vertex") from None
+        at_u.append(at_v[0])
+        at_v.append(at_u[0])
+    for v, nbrs in gather.items():
+        gather[v] = tuple(sorted(set(nbrs[1:])))
+    keys = sorted(gather)
+    if keys != list(gather):
+        gather = {v: gather[v] for v in keys}
+    return Graph(gather)
 
 
 def max_degree(g: Graph) -> int:

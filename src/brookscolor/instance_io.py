@@ -64,7 +64,10 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
         break
     else:
         raise ParseError(1, "missing problem line 'p edge <n> <m>'")
-    # the rest in one pass: edge endpoints in two id lists, color lists by id
+    # the rest in one pass: edge endpoints in two id lists, color lists by id.
+    # Each endpoint is stored as ids' own object for its id, which become the
+    # graph's keys: no second int per reference.
+    ids = list(range(n + 1))
     us: list[int] = []
     vs: list[int] = []
     by_id: list[frozenset[int] | None] = [None] * (n + 1)
@@ -89,8 +92,8 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
                 raise UnknownVertex(f"line {line_no}: vertex {u} outside 1..{n}")
             if not 1 <= v <= n:
                 raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
-            us.append(u)
-            vs.append(v)
+            us.append(ids[u])
+            vs.append(ids[v])
         elif kind == "l":
             if len(tokens) < 2:
                 raise ParseError(line_no, "list line must be 'l <v> <colors...>'")
@@ -109,7 +112,9 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
             raise ParseError(line_no, "duplicate problem line")
         elif kind != "c":
             raise ParseError(line_no, f"unknown line type {kind!r}")
-    g = build_graph(n, zip(us, vs))
+    del ids[0]
+    g = build_graph(ids, zip(us, vs))
+    del ids, us, vs
     if not listed:
         return g, None
     del by_id[0]

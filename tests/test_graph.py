@@ -4,15 +4,23 @@ from hypothesis import strategies as st
 
 from brookscolor import (
     EndpointDeleted,
+    GeneratorConfig,
     GraphError,
     SelfLoop,
     UnknownVertex,
+    build_branch_pair,
     build_graph,
+    chordality_certificate,
     connected_components,
+    emit_instance,
+    generate,
     is_complete,
     max_degree,
+    parse_instance,
     surgery,
 )
+from brookscolor.generate import MODELS
+from brookscolor.graph import _closed_part
 
 from reference import (bfs_reachable, build_graph_sets, complete_graph, cycle_graph, path_graph,
                        surgery_rebuild)
@@ -186,6 +194,23 @@ def test_graph_equality_and_repr(g):
     assert repr(g) == f"Graph(n={g.n}, m={g.m})"
 
 
+# One int object per vertex id: CPython caches only -5..256, so above that a
+# key and an equal neighbor entry are two objects unless the builder shares
+# them, and every dict or set lookup of the entry then falls through to ==.
+
+
+def _fresh(x: int) -> int:
+    """An int equal to x that is a new object whenever x is above 256."""
+    return int(str(x))
+
+
+def _shares_keys(g) -> bool:
+    """Every neighbor entry is its vertex's key object."""
+    adjacency = g.adjacency
+    key = {v: v for v in adjacency}
+    return all(u is key[u] for nbrs in adjacency.values() for u in nbrs)
+
+
 def _built(n_or_ids, edges, build):
     """The built graph's neighbor dict, key order included, or the exception's
     class and message."""
@@ -199,20 +224,81 @@ def _built(n_or_ids, edges, build):
 @given(st.data())
 def test_build_graph_matches_set_reference(data):
     # a count n (ids 1..n) or an id collection, and edges that may repeat,
-    # loop, or name ids outside the graph, including negative ones
+    # loop, or name ids outside the graph, including negative ones; ids reach
+    # past 256, and the built graph gets each endpoint as a new int object
+    ids = st.one_of(st.integers(-1, 14), st.integers(-1, 10**6))
     if data.draw(st.booleans()):
-        n = data.draw(st.integers(-2, 8))
+        n = data.draw(st.one_of(st.integers(-2, 8), st.integers(250, 270)))
         vertices = lambda: n  # noqa: E731
         declared = list(range(1, n + 1))
     else:
-        declared = data.draw(st.lists(st.integers(-1, 12), max_size=9))
+        declared = data.draw(st.lists(ids, max_size=9))
         kind = data.draw(st.sampled_from([list, set, tuple, iter]))
         vertices = lambda: kind(declared)  # noqa: E731
     if len(set(declared)) > 1 and data.draw(st.integers(0, 2)):
         pairs = st.tuples(st.sampled_from(declared), st.sampled_from(declared))
         pairs = pairs.filter(lambda e: e[0] != e[1])
     else:
-        pairs = st.tuples(st.integers(-1, 14), st.integers(-1, 14))
+        pairs = st.tuples(ids, ids)
     edges = data.draw(st.lists(pairs, max_size=12))
-    assert _built(vertices(), iter(edges), build_graph) == _built(vertices(), edges,
-                                                                 build_graph_sets)
+    want = _built(vertices(), edges, build_graph_sets)
+    try:
+        g = build_graph(vertices(), iter([(_fresh(u), _fresh(v)) for u, v in edges]))
+    except GraphError as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert tuple(g.adjacency.items()) == want
+        assert _shares_keys(g)
+
+
+def _ring(ids):
+    return [(_fresh(ids[i - 1]), _fresh(ids[i])) for i in range(len(ids))]
+
+
+def test_build_graph_from_a_count_shares_key_objects():
+    n = 600
+    ids = list(range(1, n + 1))
+    g = build_graph(n, _ring(ids) + [(_fresh(300), _fresh(500)), (_fresh(500), _fresh(300))])
+    assert g.vertices == tuple(ids) and g.m == n + 1
+    assert _shares_keys(g)
+
+
+def test_build_graph_from_ids_shares_the_collection_s_objects():
+    ids = [_fresh(x) for x in range(1000, 4000, 7)]
+    g = build_graph(reversed(ids), _ring(ids))
+    assert g.vertices == tuple(ids)
+    assert all(key is v for key, v in zip(g.vertices, ids))
+    assert _shares_keys(g)
+
+
+def test_parse_instance_shares_key_objects_with_its_lists():
+    n = 700
+    g0 = build_graph(n, _ring(list(range(1, n + 1))))
+    lists = {v: frozenset({1, 2, 3}) for v in g0.vertices}
+    g, parsed = parse_instance(emit_instance(g0, lists))
+    assert g == g0 and parsed == lists
+    assert _shares_keys(g)
+    assert all(key is v for key, v in zip(parsed, g.vertices))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_generate_shares_key_objects_with_its_lists(model):
+    g, lists = generate(GeneratorConfig(n=900, delta=4, model=model, seed=7))
+    assert g.m > 0 and _shares_keys(g)
+    assert all(key is v for key, v in zip(lists, g.vertices))
+
+
+def test_derived_graphs_share_key_objects():
+    # a 500-cycle through 300..799 with a pendant triangle: the certificate's
+    # hole feeds the branch surgery, as in a hole round
+    ring = list(range(300, 800))
+    g = build_graph([*ring, 900, 901], _ring(ring) + [(_fresh(900), _fresh(901)),
+                                                      (_fresh(901), _fresh(400)),
+                                                      (_fresh(900), _fresh(400))])
+    hole = chordality_certificate(g).hole
+    assert hole is not None and len(hole.cycle) == 500
+    pair = build_branch_pair(g, hole)
+    for derived in (pair.f_graph, pair.h_graph,
+                    surgery(g, delete=g.vertices[:3]),
+                    _closed_part(pair.f_graph, connected_components(pair.f_graph)[0])):
+        assert _shares_keys(derived)
