@@ -114,7 +114,7 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
             raise ParseError(line_no, f"unknown line type {kind!r}")
     del ids[0]
     g = build_graph(ids, zip(us, vs))
-    del ids, us, vs
+    del ids, us, vs  # freed before the lists dict is built: a lower peak
     if not listed:
         return g, None
     del by_id[0]
