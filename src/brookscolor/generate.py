@@ -56,23 +56,14 @@ class SplitMix64:
         """Uniform-ish integer in [0, n) via modulo reduction."""
         return self.next_u64() % n
 
-    def sample(self, pool: Sequence[int], k: int) -> list[int]:
-        """k distinct elements of pool by a partial Fisher-Yates shuffle that
-        stores only displaced entries: O(k), reading pool (a range will do) by index."""
-        moved: dict[int, int] = {}
-        picked = []
-        for i in range(k):
-            j = i + self.next_u64() % (len(pool) - i)  # below(), inlined to save a call per draw
-            picked.append(moved[j] if j in moved else pool[j])
-            moved[j] = moved[i] if i in moved else pool[i]
-        return picked
-
 
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
 # gnp-capped walks up to n**2 / 2 pairs when p is small, so n is capped lower.
 MAX_GNP_VERTICES = 10_000
 # All lists together hold n * list_size colors, so their total is capped too.
 MAX_LIST_ENTRIES = 10_000_000
+# palettes up to this many colors per list entry are drawn from a full copy
+_POOL_PER_LIST = 16
 
 
 class GeneratorConfig(NamedTuple):
@@ -94,35 +85,46 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
     # Random attachment tree, then n extra-edge attempts rejected when a cap
     # would be exceeded. unsat holds, ascending, the vertices below v whose
     # degree is under the cap, so each parent draw indexes the same list a
-    # rescan of 1..v-1 would build.
+    # rescan of 1..v-1 would build; v - 1 is in it whenever delta > 1. Every
+    # draw is below(), mixed inline on a local state. Tree edges have u < v;
+    # adjacent keys an edge u < v as u * (n + 1) + v.
+    if delta < 2 < n:  # vertex 3 finds 1 and 2 at the cap
+        raise InfeasibleConfig(f"no spanning tree with degree cap {delta} on {n} vertices")
     degree = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
-    adjacent: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        edges.append((u, v))
-        adjacent.add((min(u, v), max(u, v)))
-        degree[u] += 1
-        degree[v] += 1
-
     unsat = [1]
+    s = rng.state
     for v in range(2, n + 1):
-        if not unsat:
-            raise InfeasibleConfig(f"no spanning tree with degree cap {delta} on {n} vertices")
-        i = rng.below(len(unsat))
+        s = (s + _GAMMA) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        i = (z ^ (z >> 31)) % len(unsat)
         u = unsat[i]
-        add(u, v)
+        edges.append((u, v))
+        degree[u] += 1
         if degree[u] == delta:
             del unsat[i]
-        if degree[v] < delta:
-            unsat.append(v)
+        degree[v] = 1
+        unsat.append(v)  # under the cap: delta > 1 whenever a draw follows
+    m = n + 1
+    adjacent = {u * m + v for u, v in edges}
     for _ in range(n):
-        u = 1 + rng.below(n)
-        v = 1 + rng.below(n)
-        if u == v or (min(u, v), max(u, v)) in adjacent:
-            continue
-        if degree[u] < delta and degree[v] < delta:
-            add(u, v)
+        s = (s + _GAMMA) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        u = 1 + (z ^ (z >> 31)) % n
+        s = (s + _GAMMA) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        v = 1 + (z ^ (z >> 31)) % n
+        if u != v and degree[u] < delta and degree[v] < delta:
+            key = u * m + v if u < v else v * m + u
+            if key not in adjacent:
+                adjacent.add(key)
+                edges.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+    rng.state = s
     return edges
 
 
@@ -134,32 +136,47 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     # v with degree under the cap, made in a Fenwick tree (Fenwick, Softw.
     # Pract. Exp. 24(3), 1994) of ids 1..n that starts full and drops each
     # vertex as it saturates; ids >= v sort after all live ones below v.
-    below, sample = rng.below, rng.sample
+    # Every draw is below(), mixed inline on a local state. The picks are a
+    # partial Fisher-Yates shuffle of eligible, a fresh list, in place, so
+    # the new clique is its sorted prefix plus v.
+    if delta < 2 < n:  # non-final vertices keep one free slot so growth never dead-ends
+        raise InfeasibleConfig(f"degree cap {delta} cannot fit {n} vertices")
     degree = [0] * (n + 1)
     tree = [i & -i for i in range(n + 1)]  # every id present
     live = 1
     edges: list[tuple[int, int]] = []
     cliques: list[tuple[int, ...]] = [(1,)]
+    s = rng.state
     for v in range(2, n + 1):
-        base = cliques[below(len(cliques))]
-        eligible = [u for u in base if degree[u] < delta]
+        s = (s + _GAMMA) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        eligible = [u for u in cliques[(z ^ (z >> 31)) % len(cliques)] if degree[u] < delta]
         if not eligible:
             # chosen clique is saturated; the previous vertex never is, so an
             # unsaturated single-vertex clique always exists
-            r = below(live)
+            s = (s + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            r = (z ^ (z >> 31)) % live
             u, step = 0, 1 << n.bit_length()  # descend to the r-th present id
             while step := step >> 1:
                 if u + step <= n and tree[u + step] <= r:
                     u += step
                     r -= tree[u]
             eligible = [u + 1]
-        # non-final vertices keep one free slot so growth never dead-ends
-        size_cap = delta if v == n else delta - 1
-        if size_cap < 1:
-            raise InfeasibleConfig(f"degree cap {delta} cannot fit {n} vertices")
-        size = 1 + below(min(len(eligible), size_cap))
-        chosen = sample(eligible, size)
-        for u in chosen:
+        k = len(eligible)
+        s = (s + _GAMMA) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        size = 1 + (z ^ (z >> 31)) % min(k, delta if v == n else delta - 1)
+        for i in range(size):
+            s = (s + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            j = i + (z ^ (z >> 31)) % (k - i)
+            eligible[i], eligible[j] = eligible[j], eligible[i]
+            u = eligible[i]
             edges.append((u, v))
             degree[u] += 1
             if degree[u] == delta:
@@ -169,7 +186,8 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
                     u += u & -u
         degree[v] = size
         live += 1  # v; only v = n can saturate at its own step, and no draw follows
-        cliques.append((*sorted(chosen), v))
+        cliques.append((*sorted(eligible[:size]), v))
+    rng.state = s
     return edges
 
 
@@ -229,24 +247,39 @@ def random_lists(
 
 def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
                 rng: SplitMix64) -> ListAssignment:
-    # per vertex, rng.sample(range(1, palette + 1), list_size), with the mix
-    # and the pool read inline on a local state: no call per draw, which cut
-    # an eighth off `gen` at n = 10**6
+    # Per vertex, a partial Fisher-Yates shuffle of 1..palette (list_size
+    # steps) mixed inline on a local state: no call per draw. A palette of
+    # at most _POOL_PER_LIST colors per list entry is shuffled in a copy of
+    # one prebuilt list, O(palette) = O(list_size); a larger one is read by
+    # index with its displaced entries in a dict, so it is never built.
     lists: ListAssignment = {}
     shared: dict[frozenset[int], frozenset[int]] = {}
     s = rng.state
-    for v in vertices:
-        moved: dict[int, int] = {}
-        drawn = []
-        for i in range(list_size):
-            s = (s + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            j = i + (z ^ (z >> 31)) % (palette - i)
-            drawn.append(moved.get(j, j + 1))
-            moved[j] = moved.get(i, i + 1)
-        colors = frozenset(drawn)
-        lists[v] = shared.setdefault(colors, colors)
+    if palette <= _POOL_PER_LIST * list_size:
+        pool = list(range(1, palette + 1))
+        for v in vertices:
+            drawn = pool.copy()
+            for i in range(list_size):
+                s = (s + _GAMMA) & _MASK64
+                z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                j = i + (z ^ (z >> 31)) % (palette - i)
+                drawn[i], drawn[j] = drawn[j], drawn[i]
+            colors = frozenset(drawn[:list_size])
+            lists[v] = shared.setdefault(colors, colors)
+    else:
+        for v in vertices:
+            moved: dict[int, int] = {}
+            drawn = []
+            for i in range(list_size):
+                s = (s + _GAMMA) & _MASK64
+                z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                j = i + (z ^ (z >> 31)) % (palette - i)
+                drawn.append(moved.get(j, j + 1))
+                moved[j] = moved.get(i, i + 1)
+            colors = frozenset(drawn)
+            lists[v] = shared.setdefault(colors, colors)
     rng.state = s
     return lists
 

@@ -327,7 +327,7 @@ def chordal_simplicial_rescan(n: int, delta: int, rng: SplitMix64) -> list[tuple
         if size_cap < 1:
             raise InfeasibleConfig("degree cap too small")
         size = 1 + rng.below(min(len(eligible), size_cap))
-        chosen = rng.sample(eligible, size)
+        chosen = sample_per_draw(rng, eligible, size)
         for u in chosen:
             edges.append((u, v))
             degree[u] += 1
@@ -362,7 +362,7 @@ QUADRATIC_GENERATORS = {
 
 
 def sample_copying(rng: SplitMix64, pool, k: int) -> list[int]:
-    """The first SplitMix64.sample: a partial Fisher-Yates shuffle of a copy."""
+    """sample's first form: a partial Fisher-Yates shuffle of a copy."""
     pool = list(pool)
     for i in range(k):
         j = i + rng.below(len(pool) - i)
@@ -709,12 +709,14 @@ def clique_number_from_peo(g: Graph, peo) -> int:
 # ------------------------------------------- kept list, per-vertex join
 # The generators' and emit's earlier forms: every draw is a next_u64() call,
 # each list is one sample() call and never shared, chordal-simplicial keeps
-# its unsaturated vertices in an ascending list, and emit_instance joins
-# every vertex's colors anew. The package must give the same lists, edges,
-# stream state and text.
+# its unsaturated vertices in an ascending list, tree-plus-edges keys its
+# edges by tuple, and emit_instance joins every vertex's colors anew. The
+# package must give the same lists, edges, stream state and text.
 
 def sample_per_draw(rng: SplitMix64, pool, k: int) -> list[int]:
-    """SplitMix64.sample with one next_u64() call per draw."""
+    """k distinct elements of pool by a partial Fisher-Yates shuffle that
+    stores only displaced entries, with one next_u64() call per draw: the
+    former SplitMix64.sample, which every model's picks reproduce."""
     moved: dict[int, int] = {}
     picked = []
     for i in range(k):
@@ -753,6 +755,38 @@ def chordal_simplicial_kept_list(n: int, delta: int, rng: SplitMix64) -> list[tu
         if size < delta:
             unsat.append(v)
         cliques.append(tuple(sorted((*chosen, v))))
+    return edges
+
+
+def tree_plus_edges_kept_list(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    degree = [0] * (n + 1)
+    edges: list[tuple[int, int]] = []
+    adjacent: set[tuple[int, int]] = set()
+
+    def add(u: int, v: int) -> None:
+        edges.append((u, v))
+        adjacent.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
+
+    unsat = [1]  # ascending: the vertices below v with degree under the cap
+    for v in range(2, n + 1):
+        if not unsat:
+            raise InfeasibleConfig("no spanning tree")
+        i = rng.below(len(unsat))
+        u = unsat[i]
+        add(u, v)
+        if degree[u] == delta:
+            del unsat[i]
+        if degree[v] < delta:
+            unsat.append(v)
+    for _ in range(n):
+        u = 1 + rng.below(n)
+        v = 1 + rng.below(n)
+        if u == v or (min(u, v), max(u, v)) in adjacent:
+            continue
+        if degree[u] < delta and degree[v] < delta:
+            add(u, v)
     return edges
 
 

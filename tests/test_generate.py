@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,8 @@ from brookscolor.generate import MAX_GNP_VERTICES, MAX_LIST_ENTRIES
 from brookscolor.instance_io import MAX_VERTICES
 
 from reference import (QUADRATIC_GENERATORS, chordal_simplicial_kept_list, float01,
-                       random_lists_per_draw, sample_copying)
+                       random_lists_per_draw, sample_copying, sample_per_draw,
+                       tree_plus_edges_kept_list)
 
 # the module; the package re-exports the function generate under its name
 gen_mod = importlib.import_module("brookscolor.generate")
@@ -158,24 +160,42 @@ def test_splitmix64_jump_matches_repeated_draws():
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
 def test_sparse_sample_matches_copying_shuffle(seed, data):
+    # the displaced-entry sample the per-draw references use is the plain
+    # shuffle of a copy that chordal-simplicial's picks and dense lists make
     pool = data.draw(st.lists(st.integers(), unique=True, max_size=40))
     k = data.draw(st.integers(min_value=0, max_value=len(pool)))
     sparse, copying = SplitMix64(seed), SplitMix64(seed)
-    assert sparse.sample(pool, k) == sample_copying(copying, pool, k)
+    assert sample_per_draw(sparse, pool, k) == sample_copying(copying, pool, k)
     assert sparse.state == copying.state
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
-def test_random_lists_match_per_draw_sampling(seed, data):
-    palette = data.draw(st.one_of(st.integers(0, 30), st.integers(31, 10**12)))
-    list_size = data.draw(st.integers(0, min(palette, 30)))
-    # shuffled, non-contiguous ids
-    vertices = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=25))
+def _assert_lists_match_per_draw(seed, vertices, palette, list_size):
     inline, per_draw = SplitMix64(seed), SplitMix64(seed)
     lists = random_lists(vertices, palette, list_size, inline)
     expected = random_lists_per_draw(vertices, palette, list_size, per_draw)
     assert list(lists.items()) == list(expected.items())
     assert inline.state == per_draw.state
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_random_lists_match_per_draw_sampling(seed, data):
+    list_size = data.draw(st.integers(0, 30))
+    switch = gen_mod._POOL_PER_LIST * list_size  # largest palette drawn from a full copy
+    palette = data.draw(st.one_of(st.integers(list_size, switch), st.just(switch),
+                                  st.integers(switch + 1, 10**12)))
+    # shuffled, non-contiguous ids
+    vertices = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=25))
+    _assert_lists_match_per_draw(seed, vertices, palette, list_size)
+
+
+def test_random_lists_match_per_draw_sampling_at_the_switch():
+    # both list paths at their edges: the palette equal to the list, at the
+    # switch, one past it, and list size 0 with palette 0 and above
+    for list_size in range(5):
+        switch = gen_mod._POOL_PER_LIST * list_size
+        for palette in {list_size, max(list_size, switch - 1), switch, switch + 1, 10**12}:
+            for seed in (0, 1, 2**64 - 1):
+                _assert_lists_match_per_draw(seed, range(1, 40), palette, list_size)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=5000),
@@ -188,10 +208,35 @@ def test_chordal_simplicial_matches_kept_list(seed, n, delta):
     assert tree.state == kept.state
 
 
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=5000),
+       st.integers(min_value=1, max_value=8))
+def test_tree_plus_edges_matches_kept_list(seed, n, delta):
+    # sizes well past the quadratic reference's, against the per-draw form
+    inline, per_draw = SplitMix64(seed), SplitMix64(seed)
+    try:
+        expected = tree_plus_edges_kept_list(n, delta, per_draw)
+    except InfeasibleConfig:
+        with pytest.raises(InfeasibleConfig):
+            gen_mod._tree_plus_edges(n, delta, inline)
+        return
+    assert gen_mod._tree_plus_edges(n, delta, inline) == expected
+    assert inline.state == per_draw.state
+
+
 def test_random_lists_draw_from_a_huge_palette():
     # the palette is read by index, never built: 10**12 colors cost nothing
     lists = random_lists((1, 2), palette=10**12, list_size=3, rng=7)
     assert all(len(lists[v]) == 3 and max(lists[v]) <= 10**12 for v in (1, 2))
+    # 5 000 lists of 3 take about 2 MB; a pool of even 10**6 colors would
+    # take 36 MB, one of 10**12 could not be allocated
+    for palette in (10**6, 10**12):
+        tracemalloc.start()
+        try:
+            random_lists(range(1, 5001), palette=palette, list_size=3, rng=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (palette, peak)
 
 
 def test_generate_refuses_n_over_the_parser_cap():
