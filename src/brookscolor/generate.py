@@ -7,9 +7,11 @@ platform. Vertex ids are always 1..n.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
+from itertools import chain
 from operator import neg
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .chordal import ListAssignment
 from .graph import Graph
@@ -24,13 +26,14 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_LANES: dict[int, tuple[int, int, int]] = {}  # lanes -> (ones, lane mask, (i + 1) * GAMMA)
 
 
 class SplitMix64:
     """SplitMix64: state += 0x9E3779B97F4A7C15; output = mix(state).
 
-    Chosen for portability: the whole generator is a handful of 64-bit
-    integer operations, and bounded draws use plain modulo reduction.
+    Chosen for portability: a handful of 64-bit integer operations, and
+    bounded draws by plain modulo. Models read _blocks(state), then jump().
     """
 
     __slots__ = ("state",)
@@ -55,6 +58,28 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n) via modulo reduction."""
         return self.next_u64() % n
+
+
+def _blocks(state: int) -> Iterator[memoryview]:
+    # next_u64's outputs from `state` on, in blocks of 64 doubling to 2048.
+    # A block is one int of 128-bit lanes, lane i the state + (i + 1) * GAMMA:
+    # a 64x64-bit product fits in a lane, and a 64-bit lane mask after each
+    # xor-shift stops bits crossing into the next lane.
+    size = 64
+    while True:
+        if size not in _LANES:  # built on first use, not at import
+            ones = int.from_bytes((b"\1" + bytes(15)) * size, "little")
+            steps = b"".join(i.to_bytes(16, "little") for i in range(1, size + 1))
+            _LANES[size] = ones, ones * _MASK64, int.from_bytes(steps, "little") * _GAMMA
+        ones, mask, steps = _LANES[size]
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        q = memoryview((z ^ (z >> 31)).to_bytes(16 * size, sys.byteorder)).cast("Q")
+        # lane i's low half: Q slot 2i little-endian, 2(size - i) - 1 big-endian
+        yield q[::2] if sys.byteorder == "little" else q[::-2]
+        state = (state + size * _GAMMA) & _MASK64
+        size = min(2 * size, 2048)
 
 
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
@@ -86,19 +111,16 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
     # would be exceeded. unsat holds, ascending, the vertices below v whose
     # degree is under the cap, so each parent draw indexes the same list a
     # rescan of 1..v-1 would build; v - 1 is in it whenever delta > 1. Every
-    # draw is below(), mixed inline on a local state. Tree edges have u < v;
-    # adjacent keys an edge u < v as u * (n + 1) + v.
+    # draw is below(), read from _blocks: 3n - 1 draws in all. Tree edges have
+    # u < v; adjacent keys an edge u < v as u * (n + 1) + v.
     if delta < 2 < n:  # vertex 3 finds 1 and 2 at the cap
         raise InfeasibleConfig(f"no spanning tree with degree cap {delta} on {n} vertices")
     degree = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
     unsat = [1]
-    s = rng.state
+    draw = chain.from_iterable(_blocks(rng.state)).__next__
     for v in range(2, n + 1):
-        s = (s + _GAMMA) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        i = (z ^ (z >> 31)) % len(unsat)
+        i = draw() % len(unsat)
         u = unsat[i]
         edges.append((u, v))
         degree[u] += 1
@@ -109,14 +131,8 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
     m = n + 1
     adjacent = {u * m + v for u, v in edges}
     for _ in range(n):
-        s = (s + _GAMMA) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        u = 1 + (z ^ (z >> 31)) % n
-        s = (s + _GAMMA) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        v = 1 + (z ^ (z >> 31)) % n
+        u = 1 + draw() % n
+        v = 1 + draw() % n
         if u != v and degree[u] < delta and degree[v] < delta:
             key = u * m + v if u < v else v * m + u
             if key not in adjacent:
@@ -124,7 +140,7 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
                 edges.append((u, v))
                 degree[u] += 1
                 degree[v] += 1
-    rng.state = s
+    rng.jump(3 * n - 1)
     return edges
 
 
@@ -136,9 +152,9 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     # v with degree under the cap, made in a Fenwick tree (Fenwick, Softw.
     # Pract. Exp. 24(3), 1994) of ids 1..n that starts full and drops each
     # vertex as it saturates; ids >= v sort after all live ones below v.
-    # Every draw is below(), mixed inline on a local state. The picks are a
-    # partial Fisher-Yates shuffle of eligible, a fresh list, in place, so
-    # the new clique is its sorted prefix plus v.
+    # Every draw is below(), from _blocks: two per vertex and one per edge or
+    # fallback. The picks are a partial Fisher-Yates shuffle of eligible, a
+    # fresh list, in place, so the new clique is its sorted prefix plus v.
     if delta < 2 < n:  # non-final vertices keep one free slot so growth never dead-ends
         raise InfeasibleConfig(f"degree cap {delta} cannot fit {n} vertices")
     degree = [0] * (n + 1)
@@ -146,19 +162,15 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     live = 1
     edges: list[tuple[int, int]] = []
     cliques: list[tuple[int, ...]] = [(1,)]
-    s = rng.state
+    draw = chain.from_iterable(_blocks(rng.state)).__next__
+    fallbacks = 0
     for v in range(2, n + 1):
-        s = (s + _GAMMA) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        eligible = [u for u in cliques[(z ^ (z >> 31)) % len(cliques)] if degree[u] < delta]
+        eligible = [u for u in cliques[draw() % len(cliques)] if degree[u] < delta]
         if not eligible:
             # chosen clique is saturated; the previous vertex never is, so an
             # unsaturated single-vertex clique always exists
-            s = (s + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            r = (z ^ (z >> 31)) % live
+            fallbacks += 1
+            r = draw() % live
             u, step = 0, 1 << n.bit_length()  # descend to the r-th present id
             while step := step >> 1:
                 if u + step <= n and tree[u + step] <= r:
@@ -166,15 +178,9 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
                     r -= tree[u]
             eligible = [u + 1]
         k = len(eligible)
-        s = (s + _GAMMA) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        size = 1 + (z ^ (z >> 31)) % min(k, delta if v == n else delta - 1)
+        size = 1 + draw() % min(k, delta if v == n else delta - 1)
         for i in range(size):
-            s = (s + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            j = i + (z ^ (z >> 31)) % (k - i)
+            j = i + draw() % (k - i)
             eligible[i], eligible[j] = eligible[j], eligible[i]
             u = eligible[i]
             edges.append((u, v))
@@ -187,7 +193,7 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
         degree[v] = size
         live += 1  # v; only v = n can saturate at its own step, and no draw follows
         cliques.append((*sorted(eligible[:size]), v))
-    rng.state = s
+    rng.jump(2 * (n - 1) + len(edges) + fallbacks)
     return edges
 
 
@@ -197,10 +203,10 @@ def _gnp_capped(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
     # draw per pair (u, v), u < v, in row-major order. A draw whose pair has a
     # saturated endpoint cannot add an edge, so only pairs of unsaturated
     # vertices are drawn (pair (u, v) is draw `row + v` after p's) and the
-    # state jumps over the rest. The mix is inlined because a call per draw
-    # costs more than the draw. p is the first draw's top 53 bits over 2**53,
-    # and a pair's 53-bit fraction falls below p exactly when its raw draw is
-    # below p's draw with the low 11 bits cleared.
+    # state jumps over the rest. So each draw is mixed inline from its
+    # position: _blocks would mix the skipped ones too. p is the first draw's
+    # top 53 bits over 2**53, and a pair's 53-bit fraction falls below p
+    # exactly when its raw draw is below p's draw with the low 11 bits cleared.
     threshold = (rng.next_u64() >> 11) << 11
     start = rng.state
     degree = [0] * (n + 1)
@@ -248,22 +254,19 @@ def random_lists(
 def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
                 rng: SplitMix64) -> ListAssignment:
     # Per vertex, a partial Fisher-Yates shuffle of 1..palette (list_size
-    # steps) mixed inline on a local state: no call per draw. A palette of
-    # at most _POOL_PER_LIST colors per list entry is shuffled in a copy of
-    # one prebuilt list, O(palette) = O(list_size); a larger one is read by
-    # index with its displaced entries in a dict, so it is never built.
+    # steps, each a draw from _blocks). A palette of at most _POOL_PER_LIST
+    # colors per list entry is shuffled in a copy of one prebuilt list,
+    # O(palette) = O(list_size); a larger one is read by index with its
+    # displaced entries in a dict, so it is never built.
     lists: ListAssignment = {}
     shared: dict[frozenset[int], frozenset[int]] = {}
-    s = rng.state
+    draw = chain.from_iterable(_blocks(rng.state)).__next__
     if palette <= _POOL_PER_LIST * list_size:
         pool = list(range(1, palette + 1))
         for v in vertices:
             drawn = pool.copy()
             for i in range(list_size):
-                s = (s + _GAMMA) & _MASK64
-                z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                j = i + (z ^ (z >> 31)) % (palette - i)
+                j = i + draw() % (palette - i)
                 drawn[i], drawn[j] = drawn[j], drawn[i]
             colors = frozenset(drawn[:list_size])
             lists[v] = shared.setdefault(colors, colors)
@@ -272,15 +275,12 @@ def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
             moved: dict[int, int] = {}
             drawn = []
             for i in range(list_size):
-                s = (s + _GAMMA) & _MASK64
-                z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                j = i + (z ^ (z >> 31)) % (palette - i)
+                j = i + draw() % (palette - i)
                 drawn.append(moved.get(j, j + 1))
                 moved[j] = moved.get(i, i + 1)
             colors = frozenset(drawn)
             lists[v] = shared.setdefault(colors, colors)
-    rng.state = s
+    rng.jump(len(vertices) * list_size)
     return lists
 
 

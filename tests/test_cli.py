@@ -373,15 +373,18 @@ def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # both cost start-up time on every command; -S skips site-packages, so the
-    # package comes from the source tree
+    # each costs start-up time on every command (array is a shared library
+    # that a lane constant could be built with), and so would building the
+    # generators' lane constants; -S skips site-packages, so the package
+    # comes from the source tree
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, brookscolor.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'array', 'dataclasses', 'inspect'} & set(sys.modules)),"
+            " len(sys.modules['brookscolor.generate']._LANES))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 0"
 
 
 def _cli_digests(capsys, tmp_path):

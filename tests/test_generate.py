@@ -1,6 +1,8 @@
 import hashlib
 import importlib
+import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -156,6 +158,38 @@ def test_splitmix64_jump_matches_repeated_draws():
             stepped.next_u64()
         assert jumped.state == stepped.state, k
         assert jumped.next_u64() == stepped.next_u64(), k
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+# 0, the top state, and states whose Weyl sum reaches 0 at lane 1, 64 and 2048
+_EDGE_STATES = [0, 2**64 - 1] + [-k * _GAMMA % 2**64 for k in (1, 64, 2048)]
+
+
+@given(st.one_of(st.sampled_from(_EDGE_STATES), st.integers(min_value=0, max_value=2**64 - 1)),
+       # blocks of 64, 128, ... end after 64, 192, 448, 960, 1984 and 4032 draws
+       st.sampled_from([0, 1, 63, 64, 65, 1984, 1985, 2047, 2048, 2049, 4032, 5000]))
+def test_blocks_match_next_u64(state, count):
+    # count draws read from the lane-packed mixer as the models read them are
+    # next_u64's first count outputs, and jump(count) leaves the state where
+    # the mixer's stream goes on
+    stepped, jumped = SplitMix64(state), SplitMix64(state)
+    draw = chain.from_iterable(gen_mod._blocks(state)).__next__
+    assert [draw() for _ in range(count)] == [stepped.next_u64() for _ in range(count)]
+    jumped.jump(count)
+    assert jumped.state == stepped.state
+    assert draw() == jumped.next_u64()
+
+
+def test_blocks_pick_lane_slots_for_either_byte_order(monkeypatch):
+    # with the other byte order named, the lanes are read back as byte-swapped
+    # words: the slots chosen still hold every lane's low half, in lane order
+    other = "big" if sys.byteorder == "little" else "little"
+    rng = SplitMix64(7)
+    expected = [rng.next_u64() for _ in range(64 + 128)]
+    monkeypatch.setattr(sys, "byteorder", other)
+    blocks = gen_mod._blocks(7)
+    drawn = list(next(blocks)) + list(next(blocks))
+    assert drawn == [int.from_bytes(z.to_bytes(8, "little"), "big") for z in expected]
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
