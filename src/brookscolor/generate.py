@@ -11,7 +11,7 @@ import sys
 from bisect import bisect_left
 from itertools import chain
 from operator import neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chordal import ListAssignment
 from .graph import Graph
@@ -33,7 +33,7 @@ class SplitMix64:
     """SplitMix64: state += 0x9E3779B97F4A7C15; output = mix(state).
 
     Chosen for portability: a handful of 64-bit integer operations, and
-    bounded draws by plain modulo. Models read _blocks(state), then jump().
+    bounded draws by plain modulo.
     """
 
     __slots__ = ("state",)
@@ -106,19 +106,17 @@ class GeneratorConfig(NamedTuple):
     list_size: int = 3
 
 
-def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+def _tree_plus_edges(n: int, delta: int, draw: Callable[[], int]) -> list[tuple[int, int]]:
     # Random attachment tree, then n extra-edge attempts rejected when a cap
     # would be exceeded. unsat holds, ascending, the vertices below v whose
     # degree is under the cap, so each parent draw indexes the same list a
-    # rescan of 1..v-1 would build; v - 1 is in it whenever delta > 1. Every
-    # draw is below(), read from _blocks: 3n - 1 draws in all. Tree edges have
-    # u < v; adjacent keys an edge u < v as u * (n + 1) + v.
+    # rescan of 1..v-1 would build; v - 1 is in it whenever delta > 1. Tree
+    # edges have u < v; adjacent keys an edge u < v as u * (n + 1) + v.
     if delta < 2 < n:  # vertex 3 finds 1 and 2 at the cap
         raise InfeasibleConfig(f"no spanning tree with degree cap {delta} on {n} vertices")
     degree = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
     unsat = [1]
-    draw = chain.from_iterable(_blocks(rng.state)).__next__
     for v in range(2, n + 1):
         i = draw() % len(unsat)
         u = unsat[i]
@@ -140,11 +138,10 @@ def _tree_plus_edges(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int
                 edges.append((u, v))
                 degree[u] += 1
                 degree[v] += 1
-    rng.jump(3 * n - 1)
     return edges
 
 
-def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:
+def _chordal_simplicial(n: int, delta: int, draw: Callable[[], int]) -> list[tuple[int, int]]:
     # Each new vertex attaches to a random subset of a random existing clique
     # (subsets of cliques are cliques), so the insertion order is a perfect
     # elimination ordering and the result is chordal by construction.
@@ -152,9 +149,8 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     # v with degree under the cap, made in a Fenwick tree (Fenwick, Softw.
     # Pract. Exp. 24(3), 1994) of ids 1..n that starts full and drops each
     # vertex as it saturates; ids >= v sort after all live ones below v.
-    # Every draw is below(), from _blocks: two per vertex and one per edge or
-    # fallback. The picks are a partial Fisher-Yates shuffle of eligible, a
-    # fresh list, in place, so the new clique is its sorted prefix plus v.
+    # The picks are a partial Fisher-Yates shuffle of eligible, a fresh list,
+    # in place, so the new clique is its sorted prefix plus v.
     if delta < 2 < n:  # non-final vertices keep one free slot so growth never dead-ends
         raise InfeasibleConfig(f"degree cap {delta} cannot fit {n} vertices")
     degree = [0] * (n + 1)
@@ -162,14 +158,11 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
     live = 1
     edges: list[tuple[int, int]] = []
     cliques: list[tuple[int, ...]] = [(1,)]
-    draw = chain.from_iterable(_blocks(rng.state)).__next__
-    fallbacks = 0
     for v in range(2, n + 1):
         eligible = [u for u in cliques[draw() % len(cliques)] if degree[u] < delta]
         if not eligible:
             # chosen clique is saturated; the previous vertex never is, so an
             # unsaturated single-vertex clique always exists
-            fallbacks += 1
             r = draw() % live
             u, step = 0, 1 << n.bit_length()  # descend to the r-th present id
             while step := step >> 1:
@@ -193,7 +186,6 @@ def _chordal_simplicial(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, 
         degree[v] = size
         live += 1  # v; only v = n can saturate at its own step, and no draw follows
         cliques.append((*sorted(eligible[:size]), v))
-    rng.jump(2 * (n - 1) + len(edges) + fallbacks)
     return edges
 
 
@@ -248,19 +240,21 @@ def random_lists(
     _check_list_params(len(vertices), palette, list_size)
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    return _draw_lists(sorted(vertices), palette, list_size, rng)
+    lists = _draw_lists(sorted(vertices), palette, list_size,
+                        chain.from_iterable(_blocks(rng.state)).__next__)
+    rng.jump(len(vertices) * list_size)
+    return lists
 
 
 def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
-                rng: SplitMix64) -> ListAssignment:
+                draw: Callable[[], int]) -> ListAssignment:
     # Per vertex, a partial Fisher-Yates shuffle of 1..palette (list_size
-    # steps, each a draw from _blocks). A palette of at most _POOL_PER_LIST
-    # colors per list entry is shuffled in a copy of one prebuilt list,
-    # O(palette) = O(list_size); a larger one is read by index with its
-    # displaced entries in a dict, so it is never built.
+    # steps, one draw each). A palette of at most _POOL_PER_LIST colors per
+    # list entry is shuffled in a copy of one prebuilt list, O(palette) =
+    # O(list_size); a larger one is read by index with its displaced entries
+    # in a dict, so it is never built.
     lists: ListAssignment = {}
     shared: dict[frozenset[int], frozenset[int]] = {}
-    draw = chain.from_iterable(_blocks(rng.state)).__next__
     if palette <= _POOL_PER_LIST * list_size:
         pool = list(range(1, palette + 1))
         for v in vertices:
@@ -280,7 +274,6 @@ def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
                 moved[j] = moved.get(i, i + 1)
             colors = frozenset(drawn)
             lists[v] = shared.setdefault(colors, colors)
-    rng.jump(len(vertices) * list_size)
     return lists
 
 
@@ -308,14 +301,15 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
     if config.n > 1 and config.delta < 1:
         raise InfeasibleConfig("delta 0 only allows a single vertex")
     rng = SplitMix64(config.seed)
-    if config.n == 1:
-        edges: list[tuple[int, int]] = []
-    elif config.model == "tree-plus-edges":
-        edges = _tree_plus_edges(config.n, config.delta, rng)
-    elif config.model == "chordal-simplicial":
-        edges = _chordal_simplicial(config.n, config.delta, rng)
-    else:
-        edges = _gnp_capped(config.n, config.delta, rng)
+    edges: list[tuple[int, int]] = []
+    if config.n > 1 and config.model == "gnp-capped":
+        edges = _gnp_capped(config.n, config.delta, rng)  # leaves rng past every pair
+    # one stream per instance: the model reads its draws, then the lists theirs
+    draw = chain.from_iterable(_blocks(rng.state)).__next__
+    if config.n > 1 and config.model == "tree-plus-edges":
+        edges = _tree_plus_edges(config.n, config.delta, draw)
+    elif config.n > 1 and config.model == "chordal-simplicial":
+        edges = _chordal_simplicial(config.n, config.delta, draw)
     # the models' edges are distinct and in 1..n: no checks, no de-duplication.
     # Each id is one object, ids[v], stored as key and as every neighbor entry.
     ids = list(range(config.n + 1))
@@ -325,4 +319,4 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
         neighbors[v].append(ids[u])
     g = Graph({v: tuple(sorted(neighbors[v])) for v in ids[1:]})
     del edges, neighbors, ids  # freed before the lists are drawn: a lower peak
-    return g, _draw_lists(g.vertices, config.palette, config.list_size, rng)
+    return g, _draw_lists(g.vertices, config.palette, config.list_size, draw)

@@ -136,14 +136,18 @@ def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
     # g.edges() inlined: its second generator cost about a tenth of emit
     out.extend(f"e {v} {u}" for v, nbrs in g.adjacency.items() for u in nbrs if u > v)
     if lists is not None:
-        # equal lists mostly share one object: render each once, held so its id stays its own
-        rendered: dict[int, tuple[object, str]] = {}
+        # render each distinct list once, keyed by itself: a frozenset caches its hash
+        rendered: dict[object, str] = {}
         for v in ids:
             colors = lists[v]
-            entry = rendered.get(id(colors))
-            if entry is None:  # a space before each color
-                entry = rendered[id(colors)] = colors, " ".join(["", *map(str, sorted(colors))])
-            out.append(f"l {v}{entry[1]}")
+            try:
+                text = rendered.get(colors)
+            except TypeError:  # a set or list is no key; a tuple of it renders the same
+                colors = tuple(colors)
+                text = rendered.get(colors)
+            if text is None:  # a space before each color
+                text = rendered[colors] = " ".join(["", *map(str, sorted(colors))])
+            out.append(f"l {v}{text}")
     out.append("")  # the final newline, without a second copy of the text
     return "\n".join(out)
 

@@ -236,25 +236,26 @@ def test_random_lists_match_per_draw_sampling_at_the_switch():
        st.integers(min_value=2, max_value=8))
 def test_chordal_simplicial_matches_kept_list(seed, n, delta):
     # sizes well past the quadratic reference's, so the Fenwick tree's select
-    # and remove run at depth
-    tree, kept = SplitMix64(seed), SplitMix64(seed)
-    assert gen_mod._chordal_simplicial(n, delta, tree) == chordal_simplicial_kept_list(n, delta, kept)
-    assert tree.state == kept.state
+    # and remove run at depth; the stream goes on where the reference's does
+    draw, kept = chain.from_iterable(gen_mod._blocks(seed)).__next__, SplitMix64(seed)
+    assert gen_mod._chordal_simplicial(n, delta, draw) == chordal_simplicial_kept_list(n, delta, kept)
+    assert draw() == kept.next_u64()
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=5000),
        st.integers(min_value=1, max_value=8))
 def test_tree_plus_edges_matches_kept_list(seed, n, delta):
-    # sizes well past the quadratic reference's, against the per-draw form
-    inline, per_draw = SplitMix64(seed), SplitMix64(seed)
+    # sizes well past the quadratic reference's, against the per-draw form;
+    # the stream goes on where the reference's does
+    draw, per_draw = chain.from_iterable(gen_mod._blocks(seed)).__next__, SplitMix64(seed)
     try:
         expected = tree_plus_edges_kept_list(n, delta, per_draw)
     except InfeasibleConfig:
         with pytest.raises(InfeasibleConfig):
-            gen_mod._tree_plus_edges(n, delta, inline)
+            gen_mod._tree_plus_edges(n, delta, draw)
         return
-    assert gen_mod._tree_plus_edges(n, delta, inline) == expected
-    assert inline.state == per_draw.state
+    assert gen_mod._tree_plus_edges(n, delta, draw) == expected
+    assert draw() == per_draw.next_u64()
 
 
 def test_random_lists_draw_from_a_huge_palette():
@@ -287,9 +288,15 @@ def test_generate_refuses_n_over_the_parser_cap():
 @given(st.integers(min_value=0, max_value=2**64 - 1),
        st.integers(min_value=2, max_value=90),
        st.integers(min_value=1, max_value=8),
-       st.sampled_from(["tree-plus-edges", "chordal-simplicial", "gnp-capped"]))
-def test_generators_match_quadratic_reference(seed, n, delta, model):
-    cfg = GeneratorConfig(n=n, delta=delta, model=model, seed=seed)
+       st.sampled_from(["tree-plus-edges", "chordal-simplicial", "gnp-capped"]), st.data())
+def test_generators_match_quadratic_reference(seed, n, delta, model, data):
+    # lists on either path: a palette drawn from a full copy, or one read by index
+    list_size = data.draw(st.integers(0, 8))
+    switch = gen_mod._POOL_PER_LIST * list_size
+    palette = data.draw(st.one_of(st.integers(list_size, switch),
+                                  st.integers(switch + 1, 10**6)))
+    cfg = GeneratorConfig(n=n, delta=delta, model=model, seed=seed,
+                          palette=palette, list_size=list_size)
     rng = SplitMix64(seed)
     try:
         edges = QUADRATIC_GENERATORS[model](n, delta, rng)
@@ -298,7 +305,7 @@ def test_generators_match_quadratic_reference(seed, n, delta, model):
             generate(cfg)
         return
     # same graph, and the lists drawn after it show the stream ended in the same state
-    expected = (build_graph(n, edges), random_lists(range(1, n + 1), 6, 3, rng))
+    expected = (build_graph(n, edges), random_lists(range(1, n + 1), palette, list_size, rng))
     assert generate(cfg) == expected
 
 
