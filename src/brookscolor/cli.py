@@ -1,7 +1,7 @@
-"""Command line surface: chordal, color, verify, oracle, gen.
+"""Command line surface: chordal, color, seedrun, verify, oracle, gen.
 
-Exit codes: 0 success; 1 hole found (chordal) or a failed seed (color
---seedrun); 2 hypothesis violation (color); 3 coloring defect (verify);
+Exit codes: 0 success; 1 hole found (chordal) or a failed seed (seedrun);
+2 hypothesis violation (color); 3 coloring defect (verify);
 4 unsatisfiable, 5 node limit (oracle); 64 usage or file-access problems;
 65 malformed input data.
 """
@@ -21,7 +21,7 @@ from .solver import HypothesisViolation, brooks_list_color
 
 EXIT_OK = 0
 EXIT_HOLE = 1
-EXIT_SEED_FAILED = 1  # color --seedrun: some seed's solve raised
+EXIT_SEED_FAILED = 1  # seedrun: some seed's solve raised
 EXIT_HYPOTHESIS = 2
 EXIT_DEFECT = 3
 EXIT_UNSAT = 4
@@ -43,12 +43,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="brookscolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    # no defaults here, so that color FILE can refuse a given flag; see _GEN_DEFAULTS
     gen_opts = argparse.ArgumentParser(add_help=False)
-    gen_opts.add_argument("--n", type=int, help="vertex count")
-    gen_opts.add_argument("--delta", type=int, help="max-degree cap")
-    gen_opts.add_argument("--model", choices=MODELS)
-    gen_opts.add_argument("--seed", type=int)
+    gen_opts.add_argument("--n", type=int, default=30, help="vertex count")
+    gen_opts.add_argument("--delta", type=int, default=4, help="max-degree cap")
+    gen_opts.add_argument("--model", choices=MODELS, default="tree-plus-edges")
+    gen_opts.add_argument("--seed", type=int, default=0)
     gen_opts.add_argument("--list-size", type=int,
                           help="colors per list (default: delta)")
     gen_opts.add_argument("--palette", type=int,
@@ -57,13 +56,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("chordal", help="print an elimination order or a hole")
     p.add_argument("file")
 
-    p = sub.add_parser("color", parents=[gen_opts],
-                       help="list-color an instance (or a seeded batch)")
-    p.add_argument("file", nargs="?")
+    p = sub.add_parser("color", help="list-color an instance")
+    p.add_argument("file")
     p.add_argument("--uniform", type=int, metavar="K",
                    help="use lists {1..K} everywhere, ignoring any in the file")
-    p.add_argument("--seedrun", type=int, metavar="N",
-                   help="generate and color N instances, report pass/fail counts")
+
+    p = sub.add_parser("seedrun", parents=[gen_opts],
+                       help="generate and color N instances, report pass/fail counts")
+    p.add_argument("count", type=int, metavar="N")
 
     p = sub.add_parser("verify", help="check a coloring file against an instance")
     p.add_argument("file")
@@ -82,19 +82,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-_GEN_DEFAULTS = {"n": 30, "delta": 4, "model": "tree-plus-edges", "seed": 0}
-
-
-def _given_gen_opts(args: argparse.Namespace) -> dict[str, int | str]:
-    return {k: v for k in (*_GEN_DEFAULTS, "list_size", "palette")
-            if (v := getattr(args, k)) is not None}
-
-
 def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
-    opts = {**_GEN_DEFAULTS, **_given_gen_opts(args)}
-    opts.setdefault("list_size", opts["delta"])
-    opts.setdefault("palette", 2 * opts["delta"])
-    return GeneratorConfig(**opts)
+    return GeneratorConfig(
+        n=args.n, delta=args.delta, model=args.model, seed=args.seed,
+        list_size=args.delta if args.list_size is None else args.list_size,
+        palette=2 * args.delta if args.palette is None else args.palette)
 
 
 def _cmd_chordal(args: argparse.Namespace) -> int:
@@ -109,13 +101,9 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
 
 
 def _cmd_seedrun(args: argparse.Namespace) -> int:
-    if args.file is not None:
-        raise _UsageError("--seedrun generates its own instances; drop the FILE argument")
-    if args.uniform is not None:
-        raise _UsageError("--seedrun colors the generated lists; drop --uniform")
-    count = args.seedrun
+    count = args.count
     if count < 1:
-        raise _UsageError("--seedrun needs a positive instance count")
+        raise _UsageError("seedrun needs a positive instance count")
     config = _config_from_args(args)
     # seed by seed, so a batch holds one instance in memory at a time
     done = failed = 0
@@ -140,13 +128,6 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
-    if args.seedrun is not None:
-        return _cmd_seedrun(args)
-    if args.file is None:
-        raise _UsageError("color needs an instance FILE (or --seedrun N)")
-    given = " ".join(f"--{k.replace('_', '-')}" for k in _given_gen_opts(args))
-    if given:
-        raise _UsageError(f"{given} only apply to --seedrun; drop them with FILE")
     # no vertex can need more colors than the vertex cap, so a larger K only
     # costs memory
     if args.uniform is not None and not 0 <= args.uniform <= MAX_VERTICES:
@@ -214,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         handler = {
             "chordal": _cmd_chordal,
             "color": _cmd_color,
+            "seedrun": _cmd_seedrun,
             "verify": _cmd_verify,
             "oracle": _cmd_oracle,
             "gen": _cmd_gen,

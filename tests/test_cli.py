@@ -182,22 +182,27 @@ def test_gen_infeasible_config_is_usage_error(capsys, no_list_draws):
 
 
 def test_gen_vertex_cap_is_usage_error(capsys):
-    # refused before the generator allocates anything for 10**12 vertices
+    # refused by the generator's cap before it allocates anything for 10**12
+    # vertices
     for argv in (["gen", "--n", "1000000000000"],
-                 ["color", "--seedrun", "1", "--n", "1000000000000"],
+                 ["seedrun", "1", "--n", "1000000000000"],
                  ["gen", "--model", "gnp-capped", "--n", "10001"]):
         code, out, err = run(capsys, argv)
-        assert code == 64 and "usage error" in err and out == "", argv
+        assert code == 64 and "usage error: " in err and "n must be" in err and out == "", argv
 
 
 def test_seedrun_reports_counts(capsys):
-    code, out, _ = run(capsys, ["color", "--seedrun", "4", "--n", "12",
-                                "--delta", "3", "--seed", "1"])
+    code, out, _ = run(capsys, ["seedrun", "4", "--n", "12", "--delta", "3", "--seed", "1"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 5
     assert all(line.startswith("seed ") and line.endswith(" pass") for line in lines[:4])
     assert lines[-1] == "pass 4 fail 0"
+    # every seed is one vertex with an empty list, so all 1 100 tries fail the
+    # hypotheses and no seed line is printed
+    code, out, err = run(capsys, ["seedrun", "1", "--n", "1", "--delta", "0"])
+    assert code == 64 and out == ""
+    assert "could not generate enough hypothesis-satisfying instances" in err
 
 
 def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeypatch):
@@ -215,8 +220,7 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
 
     monkeypatch.setattr(cli, "generate", generate)
     monkeypatch.setattr(cli, "brooks_list_color", color)
-    code, out, _ = run(capsys, ["color", "--seedrun", "5", "--n", "12", "--delta", "3",
-                                "--seed", "1"])
+    code, out, _ = run(capsys, ["seedrun", "5", "--n", "12", "--delta", "3", "--seed", "1"])
     assert code == 0 and out.splitlines()[-1] == "pass 5 fail 0"
     assert events.count("color") == 5
     assert events.index("color") < len(events) - 1 - events[::-1].index("generate")
@@ -239,7 +243,7 @@ def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
     monkeypatch.setattr(solver, "connected_components", components)
     # lists of 3 colors: seeds 1, 2, 5, 6, 8 and 9 have a component of max
     # degree 4 and fail the hypotheses
-    code, out, _ = run(capsys, ["color", "--seedrun", "4", "--model", "gnp-capped", "--n", "8",
+    code, out, _ = run(capsys, ["seedrun", "4", "--model", "gnp-capped", "--n", "8",
                                 "--delta", "4", "--list-size", "3", "--seed", "1"])
     assert code == 0 and out.splitlines()[-1] == "pass 4 fail 0"
     assert generated == list(range(1, 11))
@@ -247,16 +251,9 @@ def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
 
 
 def test_seedrun_with_file_is_usage_error(capsys, c5_file):
-    code, _, err = run(capsys, ["color", c5_file, "--seedrun", "2"])
-    assert code == 64 and "usage error" in err
-
-
-def test_seedrun_threads_env_same_output(capsys, monkeypatch):
-    argv = ["color", "--seedrun", "6", "--n", "14", "--delta", "4", "--seed", "3"]
-    code1, out1, _ = run(capsys, argv)
-    monkeypatch.setenv("BROOKS_COLOR_THREADS", "3")
-    code2, out2, _ = run(capsys, argv)
-    assert (code1, out1) == (code2, out2)
+    for argv in (["seedrun", "2", c5_file], ["color", c5_file, "--seedrun", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == "" and "usage error" in err, argv
 
 
 def test_seedrun_names_the_exception_of_a_failed_seed(capsys, monkeypatch):
@@ -264,8 +261,7 @@ def test_seedrun_names_the_exception_of_a_failed_seed(capsys, monkeypatch):
         raise RuntimeError("planted")
 
     monkeypatch.setattr(cli, "brooks_list_color", broken)
-    code, out, _ = run(capsys, ["color", "--seedrun", "2", "--n", "12",
-                                "--delta", "3", "--seed", "1"])
+    code, out, _ = run(capsys, ["seedrun", "2", "--n", "12", "--delta", "3", "--seed", "1"])
     lines = out.splitlines()
     assert code == 1
     assert len(lines) == 3
@@ -287,13 +283,20 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert code == 64 and out == "" and "--uniform" in err
     monkeypatch.setattr(cli, "_read", None)  # negative counts are refused before any read
     for argv in (["color", str(edge), "--uniform", "-1"], ["oracle", str(edge), "--limit", "-1"],
-                 ["color", "--seedrun", "2", "--n", "10", "--delta", "3", "--uniform", "-1"],
-                 # generator flags only feed --seedrun, so with FILE they are refused
+                 ["seedrun", "2", "--n", "10", "--delta", "3", "--uniform", "-1"],
+                 # generator flags belong to gen and seedrun, so color refuses them
                  ["color", str(edge), "--n", "5", "--model", "gnp-capped", "--palette", "-3"],
                  ["color", str(edge), "--delta", "3"], ["color", str(edge), "--seed", "0"],
-                 ["color", str(edge), "--list-size", "2"]):
+                 ["color", str(edge), "--list-size", "2"],
+                 ["color", "--seedrun", "2", "--n", "10"]):
         code, out, err = run(capsys, argv)
         assert code == 64 and out == "" and argv[-2] in err, argv
+    # color needs a FILE; seedrun generates its own instances and colors their lists
+    for argv, said in ((["color"], "file"), (["seedrun", "2", str(edge)], str(edge)),
+                       (["seedrun", "2", "--uniform", "3"], "--uniform"),
+                       (["seedrun", "0"], "positive instance count")):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == "" and "usage error: " in err and said in err, argv
 
 
 def test_uniform_beyond_max_degree_builds_max_degree_plus_one_colors(capsys, tmp_path,
@@ -362,7 +365,7 @@ def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file
         ["color", petersen_file, "--uniform", "3"],
         ["verify", petersen_file, str(coloring)],
         ["oracle", str(tmp_path / "small.col")],
-        ["color", "--seedrun", "3", "--n", "10", "--delta", "3", "--seed", "2"],
+        ["seedrun", "3", "--n", "10", "--delta", "3", "--seed", "2"],
     ]
     g = cycle_graph(4)
     (tmp_path / "small.col").write_text(emit_instance(g, uniform_lists(g, 2)))
@@ -370,6 +373,8 @@ def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second, argv
+    # the batch ran, rather than two identical refusals
+    assert first[0] == 0 and first[1].endswith("pass 3 fail 0\n")
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
