@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
@@ -82,24 +82,34 @@ def uniform_lists(g: Graph, k: int) -> ListAssignment:
 def _mcs(g: Graph) -> Iterator[int]:
     """Yield the vertices in maximum cardinality search order.
 
-    buckets[w] is a min-heap of the ids that reached weight w (visited
-    neighbors); an entry is stale once its vertex is visited or heavier.
+    A vertex gets its weight (visited neighbors; -1 once visited) when the
+    search first touches it. buckets[w] (w >= 1) is a min-heap of the ids
+    that reached weight w; an entry is stale once its vertex is visited or
+    heavier. Weight 0 has no bucket: the untouched vertices come in ascending
+    order from one lazy pass over the keys, read once per component.
     """
-    weight = dict.fromkeys(g.vertices, 0)
-    buckets = [list(weight)]  # ascending ids: already a heap
+    adjacency = g.adjacency
+    weight: dict[int, int] = {}
+    untouched = filterfalse(weight.__contains__, adjacency)
+    buckets: list[list[int]] = [[]]  # [0] stays empty
     top = 0
-    while top >= 0:
-        bucket = buckets[top]
-        if not bucket:
-            top -= 1
-            continue
-        v = heappop(bucket)
-        if weight[v] != top:
-            continue  # stale entry
+    while True:
+        if top:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = heappop(bucket)
+            if weight[v] != top:
+                continue  # stale entry
+        else:
+            v = next(untouched, None)
+            if v is None:
+                return
         weight[v] = -1  # visited
         yield v
-        for u in g.neighbors(v):
-            w = weight[u] + 1
+        for u in adjacency[v]:
+            w = weight.get(u, 0) + 1
             if w:  # u is unvisited
                 weight[u] = w
                 if w == len(buckets):
@@ -128,19 +138,19 @@ def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, dict
     Checking against the latest-placed earlier neighbor, the anchor,
     suffices: an earlier neighbor adjacent to it is one of its own earlier
     neighbors, pairwise adjacent since it passed. One vertex can anchor many
-    later ones, so each anchor's neighbor set is built once per walk.
+    later ones, so each anchor's closed neighborhood is built once per walk.
     """
     adjacency = g.adjacency
     pos: dict[int, int] = {}
-    anchor_sets: dict[int, frozenset[int]] = {}
+    closed_sets: dict[int, frozenset[int]] = {}
     for v in order:
         earlier = [u for u in adjacency[v] if u in pos]  # ascending
         if len(earlier) > 1:
             anchor = max(earlier, key=pos.__getitem__)
-            anchor_nbrs = anchor_sets.get(anchor)
-            if anchor_nbrs is None:
-                anchor_nbrs = anchor_sets[anchor] = g.neighbor_set(anchor)
-            if not all(u == anchor or u in anchor_nbrs for u in earlier):
+            closed = closed_sets.get(anchor)
+            if closed is None:
+                closed = closed_sets[anchor] = g.neighbor_set(anchor) | {anchor}
+            if not closed.issuperset(earlier):
                 # the anchor and some earlier vertex form a pair, so next() finds one
                 pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
                 return PeoViolation(vertex=v, witness_pair=pair), pos
@@ -166,20 +176,20 @@ def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
     Searches for a shortest u-w path in the graph with v's closed
     neighborhood (except u and w) removed. Any such path is chordless, and no
     interior vertex touches v, so v, u, path, w closes a chordless cycle of
-    length >= 4. Returns None when u and w fall apart in the reduced graph.
+    length >= 4. The breadth-first search stops as soon as it reaches w: w's
+    parent is fixed when w is first found, so the path is already known.
+    Returns None when u and w fall apart in the reduced graph.
     """
     v_nbrs = g.neighbor_set(v)
     if u not in v_nbrs or w not in v_nbrs:
         raise PreconditionBreach(f"{u} and {w} must both be neighbors of {v}")
-    if g.adjacent(u, w):
-        raise PreconditionBreach(f"{u} and {w} must not be adjacent")
+    if u == w or g.adjacent(u, w):
+        raise PreconditionBreach(f"{u} and {w} must be distinct and not adjacent")
     blocked = (v_nbrs | {v}) - {u, w}
     parent: dict[int, int | None] = {u: None}
     queue = deque([u])
-    while queue:
+    while queue and w not in parent:
         x = queue.popleft()
-        if x == w:
-            break
         for y in g.neighbors(x):
             if y not in blocked and y not in parent:
                 parent[y] = x

@@ -132,6 +132,25 @@ def test_find_hole_precondition_breach():
     k4 = complete_graph(4)
     with pytest.raises(PreconditionBreach):
         find_hole_from_witness(k4, 1, 2, 3)  # 2, 3 adjacent
+    with pytest.raises(PreconditionBreach):
+        find_hole_from_witness(path_graph(3), 2, 1, 1)  # one neighbor twice
+
+
+def test_find_hole_stops_at_its_target(monkeypatch):
+    # 1 sees 2 and 4, the path 2-3-4 closes the hole, and 100 pendant
+    # vertices on 2 are queued before 4 is found: a search that expands its
+    # queue until it dequeues 4 reads each of them
+    g = build_graph(104, [(1, 2), (1, 4), (2, 3), (3, 4), *((2, v) for v in range(5, 105))])
+    reads = []
+    real = Graph.neighbors
+
+    def spy(self, v):
+        reads.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", spy)
+    assert find_hole_from_witness(g, 1, 2, 4) == Hole((1, 2, 3, 4))
+    assert len(reads) <= 4, reads
 
 
 @given(graphs(min_n=4))
@@ -234,12 +253,26 @@ def test_certificate_matches_heap_reference_on_sparse_graphs():
     # larger sparse graphs, where ties between shortest paths make the hole
     # depend on which end of the witness pair the search starts from
     rng = random.Random(5)
+    inputs = []
     for _ in range(400):
         n = rng.randint(10, 40)
         ids = rng.sample(range(10 * n), n)
         p = rng.uniform(0.02, 0.2)
-        g = build_graph(ids, [(ids[i], ids[j]) for i, j in itertools.combinations(range(n), 2)
-                              if rng.random() < p])
+        inputs.append(build_graph(ids, [(ids[i], ids[j])
+                                        for i, j in itertools.combinations(range(n), 2)
+                                        if rng.random() < p]))
+    # about 90 components of 1-12 vertices each, on interleaved ids: the
+    # search restarts from the smallest untouched id after each one
+    for _ in range(5):
+        ids = rng.sample(range(10**6), 600)
+        edges = []
+        start = 0
+        while start < len(ids):
+            part = ids[start:start + rng.randint(1, 12)]
+            edges += [e for e in itertools.combinations(part, 2) if rng.random() < 0.4]
+            start += len(part)
+        inputs.append(build_graph(ids, edges))
+    for g in inputs:
         assert mcs_order(g) == mcs_order_heap(g)
         cert = chordality_certificate(g)
         peo, hole = certificate_pipeline(g)
