@@ -1,16 +1,19 @@
 """Constructive list coloring under per-component degree hypotheses.
 
-Every connected component must satisfy one of two conditions: (a) each list
-is longer than its vertex's degree, or (b) the component's max degree D is at
-least 3, each list has at least D colors, and the component is not the
-complete graph on D+1 vertices.
+Every connected component must satisfy one of two conditions: (a) it has
+slack (a vertex whose list is longer than its degree) and each list has at
+least as many colors as its vertex's degree, or (b) the component's max
+degree D is at least 3, each list has at least D colors, and the component
+is not the complete graph on D+1 vertices.
 
-First, one pass over the whole input colors every component that has a
-vertex with slack (a list longer than its degree): greedily, in reverse
-breadth-first order from all such vertices at once. Each remaining component
-is tight: D-regular with lists of exactly D colors and not complete, hence
-not chordal. Only there, one component at a time, does the solver branch,
-one round per hole x_1..x_k:
+One C-level scan compares each list with its vertex's degree. Then one
+pass colors every component with slack: greedily, in reverse breadth-first
+order from all vertices with slack at once, so each vertex still has an
+uncolored neighbor, its search parent, when its turn comes. Components are
+found only on what that search leaves, and each of them is tight: D-regular
+with lists of exactly D colors and not complete, hence not chordal. Only
+there, one component at a time, does the solver branch, one round per hole
+x_1..x_k:
 
     F = G - {x_4..x_k}        + edge (x_1, x_3)
     H = G - ({x_5..x_k, x_1}) + edge (x_2, x_4)
@@ -27,7 +30,8 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from itertools import filterfalse, product
+from itertools import compress, filterfalse, product
+from operator import ge, sub
 from typing import NamedTuple
 
 from .chordal import (
@@ -105,51 +109,75 @@ class BranchPair(NamedTuple):
 
 
 def check_hypotheses(g: Graph, lists: ListAssignment) -> HypothesisReport:
-    """Per component: lists beat degrees, or lists reach the component's
-    max degree D >= 3 and the component is not complete on D+1 vertices.
+    """Per component: (a) every list reaches its vertex's degree and some
+    list is longer (slack), or (b) every list reaches the component's max
+    degree D >= 3 and the component is not complete on D+1 vertices.
+
+    A refusal names the first failing component by smallest id.
     """
-    return _check_hypotheses(g, lists, connected_components(g))[0]
+    return _check_hypotheses(g, lists)[0]
 
 
 def _check_hypotheses(
     g: Graph,
     lists: ListAssignment,
-    parts: tuple[tuple[int, ...], ...],
-) -> tuple[HypothesisReport, list[int]]:
-    # The report and, when it passes, the vertices with slack (a list longer
-    # than the degree), ascending: one scan of each component gives both.
+) -> tuple[HypothesisReport, list[int], tuple[tuple[int, ...], ...]]:
+    # The report and, when it passes, the slack order (the components with
+    # slack, in reverse breadth-first order from their vertices with slack,
+    # ascending) and the tight components, the rest. One C-level scan gives
+    # each list's excess over its degree. Components are found only on what
+    # the search leaves, or on all of g to refuse a list shorter than its
+    # degree.
     adjacency = g.adjacency
-    for v in filterfalse(lists.__contains__, adjacency):
-        raise MissingList(v)
-    slack: list[int] = []
+    try:
+        sizes = list(map(len, map(lists.__getitem__, adjacency)))
+    except KeyError:
+        raise MissingList(next(filterfalse(lists.__contains__, adjacency))) from None
+    excess = list(map(sub, sizes, map(len, adjacency.values())))
+    order: list[int] = []
+    if any(excess):
+        if min(excess) < 0:
+            return _first_failure(g, lists, connected_components(g)), order, ()
+        order = _slack_order(g, list(compress(adjacency, excess)))
+        if len(order) == len(excess):
+            return HypothesisReport(ok=True), order, ()
+        reached = set(order)
+        g = _closed_part(g, list(filterfalse(reached.__contains__, adjacency)))
+        sizes = list(map(len, map(lists.__getitem__, g.adjacency)))
+    # every list in g is exactly as long as its vertex's degree
+    parts = connected_components(g)
+    d = max(sizes, default=0)
+    regular = min(sizes, default=0) == d >= 3
+    if regular and not any(len(comp) == d + 1 and is_complete(g, comp) for comp in parts):
+        return HypothesisReport(ok=True), order, parts
+    return _first_failure(g, lists, parts), order, parts
+
+
+def _first_failure(
+    g: Graph,
+    lists: ListAssignment,
+    parts: tuple[tuple[int, ...], ...],
+) -> HypothesisReport:
+    # The first of parts that passes neither (a) nor (b), or an ok report.
+    adjacency = g.adjacency
     for comp in parts:
-        slack_before = len(slack)
-        d = 0  # max degree
-        shortest = len(lists[comp[0]])  # min list size
-        for v in comp:
-            degree = len(adjacency[v])
-            size = len(lists[v])
-            if size > degree:
-                slack.append(v)
-            if degree > d:
-                d = degree
-            if size < shortest:
-                shortest = size
-        if len(slack) - slack_before == len(comp):
+        sizes = [len(lists[v]) for v in comp]
+        degrees = [len(adjacency[v]) for v in comp]
+        if sizes != degrees and all(map(ge, sizes, degrees)):
             continue
+        d = max(degrees)
         if d < 3:
             detail = f"max degree {d} < 3 and some list is not longer than its vertex's degree"
-        elif shortest < d:
-            short = next(v for v in comp if len(lists[v]) < d)
+        elif min(sizes) < d:
+            short = next(v for v, size in zip(comp, sizes) if size < d)
             detail = f"vertex {short} has fewer than {d} colors"
         elif len(comp) == d + 1 and is_complete(g, comp):
             detail = f"complete graph on {d + 1} vertices with lists of size exactly its degree"
         else:
             continue
         return HypothesisReport(ok=False, failing_component=comp,
-                                detail=f"component {comp[0]}...: {detail}"), []
-    slack.sort()  # ascending across components too
-    return HypothesisReport(ok=True), slack
+                                detail=f"component {comp[0]}...: {detail}")
+    return HypothesisReport(ok=True)
 
 
 def _validate_hole(g: Graph, c: Hole) -> None:
@@ -275,15 +303,12 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     The returned coloring is proper and drawn from the lists; this is
     verified once before returning.
     """
-    parts = connected_components(g)
-    report, slack = _check_hypotheses(g, lists, parts)
+    report, order, tight = _check_hypotheses(g, lists)
     if not report.ok:
         raise HypothesisViolation(report.detail)
-    colors: Coloring = {}
-    _color_slack(g, lists, colors, slack)
-    for comp in parts:
-        if comp[0] not in colors:
-            _color_tight(_closed_part(g, comp), lists, colors)
+    colors = greedy_color_along(_closed_part(g, order), order, lists)
+    for comp in tight:
+        _color_tight(_closed_part(g, comp), lists, colors)
     defect = verify_coloring(g, lists, colors)
     if defect is not None:
         raise InternalInvariantBroken(f"solver output failed verification: {defect}")

@@ -18,8 +18,10 @@ from brookscolor import (
     EndpointDeleted,
     Graph,
     Hole,
+    HypothesisReport,
     HypothesisViolation,
     InfeasibleConfig,
+    MissingList,
     NoStartPair,
     NotAPermutation,
     OracleOutcome,
@@ -368,6 +370,49 @@ def sample_copying(rng: SplitMix64, pool, k: int) -> list[int]:
         j = i + rng.below(len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+# ------------------------------------------------ hypotheses by components
+# The solver's earlier screen: every component found first, then each checked
+# against (a) every list longer than its vertex's degree, or (b) max degree
+# D >= 3, every list at least D, and not complete on D+1 vertices. The package
+# also accepts any component with slack whose lists all reach their degrees,
+# and refuses with the same words for the component it names.
+
+def component_refusal(g: Graph, lists, comp: tuple[int, ...]) -> str | None:
+    """Why comp passes neither (a) nor (b), in the solver's words; None if it
+    passes one."""
+    degrees = [g.degree(v) for v in comp]
+    sizes = [len(lists[v]) for v in comp]
+    if all(size > degree for size, degree in zip(sizes, degrees)):
+        return None
+    d = max(degrees)
+    if d < 3:
+        return f"max degree {d} < 3 and some list is not longer than its vertex's degree"
+    short = [v for v, size in zip(comp, sizes) if size < d]
+    if short:
+        return f"vertex {short[0]} has fewer than {d} colors"
+    if len(comp) == d + 1 and all(g.adjacent(u, v) for u, v in itertools.combinations(comp, 2)):
+        return f"complete graph on {d + 1} vertices with lists of size exactly its degree"
+    return None
+
+
+def check_hypotheses_by_components(g: Graph, lists) -> HypothesisReport:
+    """The first component, by smallest id, that passes neither (a) nor (b)."""
+    for v in g.vertices:
+        if v not in lists:
+            raise MissingList(v)
+    seen: set[int] = set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = tuple(sorted(bfs_reachable(g, v)))
+        seen.update(comp)
+        detail = component_refusal(g, lists, comp)
+        if detail is not None:
+            return HypothesisReport(ok=False, failing_component=comp,
+                                    detail=f"component {comp[0]}...: {detail}")
+    return HypothesisReport(ok=True)
 
 
 # ------------------------------------------------ per-component solver

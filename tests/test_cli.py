@@ -76,6 +76,22 @@ def test_color_verify_pipeline(capsys, petersen_file, tmp_path):
     assert code == 0 and out2 == "ok\n"
 
 
+def test_color_k4_with_one_long_list(capsys, tmp_path):
+    # K4 with lists {1, 2, 3} and one list {1, 2, 3, 4}: the long list gives
+    # slack, so this is not the complete-graph obstruction
+    g = complete_graph(4)
+    lists = {v: frozenset(range(1, 4 + (v == 4))) for v in g.vertices}
+    instance = tmp_path / "k4.col"
+    instance.write_text(emit_instance(g, lists))
+    code, out, err = run(capsys, ["color", str(instance)])
+    assert code == 0 and err == ""
+    assert verify_coloring(g, lists, parse_coloring(out)) is None
+    coloring_file = tmp_path / "out.col"
+    coloring_file.write_text(out)
+    code, out, _ = run(capsys, ["verify", str(instance), str(coloring_file)])
+    assert code == 0 and out == "ok\n"
+
+
 def test_color_uses_embedded_lists(capsys, tmp_path):
     g = cycle_graph(5)
     path = tmp_path / "c5l.col"
@@ -229,18 +245,18 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
 def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
     # the solver's own hypothesis scan screens a seed; no second pass over it
     generated, passes = [], []
-    real_generate, real_components = cli.generate, solver.connected_components
+    real_generate, real_scan = cli.generate, solver._check_hypotheses
 
     def generate(config):
         generated.append(config.seed)
         return real_generate(config)
 
-    def components(g):
+    def scan(g, lists):
         passes.append(g.n)
-        return real_components(g)
+        return real_scan(g, lists)
 
     monkeypatch.setattr(cli, "generate", generate)
-    monkeypatch.setattr(solver, "connected_components", components)
+    monkeypatch.setattr(solver, "_check_hypotheses", scan)
     # lists of 3 colors: seeds 1, 2, 5, 6, 8 and 9 have a component of max
     # degree 4 and fail the hypotheses
     code, out, _ = run(capsys, ["seedrun", "4", "--model", "gnp-capped", "--n", "8",

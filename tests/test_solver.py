@@ -14,6 +14,7 @@ from brookscolor import (
     InvalidHole,
     MissingList,
     NoStartPair,
+    OracleOutcome,
     ResidualTooSmall,
     brooks_list_color,
     brute_force_list_color,
@@ -35,14 +36,18 @@ from brookscolor import Graph, solver
 
 from reference import (
     all_cycle_colorings,
+    bfs_reachable,
     brooks_per_component,
+    check_hypotheses_by_components,
     circulant_graph,
     complete_bipartite,
     complete_graph,
+    component_refusal,
     cycle_graph,
     disjoint_union,
     extend_around_cycle_pairs,
     generalized_petersen,
+    path_graph,
     petersen_graph,
 )
 from strategies import nonchordal_graphs
@@ -97,6 +102,87 @@ def test_hypotheses_checked_per_component():
     g = disjoint_union(complete_graph(4), cycle_graph(5), offset=4)
     report = check_hypotheses(g, uniform_lists(g, 3))
     assert not report.ok and report.failing_component == (1, 2, 3, 4)
+
+
+# Components with slack whose lists all reach their degrees: greedy in reverse
+# breadth-first order from the slack colors them (the degree-choosability
+# base case), though they fail the earlier screen's (a), every list longer
+# than its degree, and (b).
+SLACK_REACHING_DEGREES = {
+    # P3 with lists {1, 2}: the ends have slack
+    "p3": (lambda: path_graph(3), {1: {1, 2}, 2: {1, 2}, 3: {1, 2}},
+           {2: 1, 3: 2, 1: 2}),
+    # the star K_{1,3} with centre {1, 2, 3} and leaves {1, 2}
+    "star": (lambda: build_graph(4, [(1, 2), (1, 3), (1, 4)]),
+             {1: {1, 2, 3}, 2: {1, 2}, 3: {1, 2}, 4: {1, 2}},
+             {1: 1, 4: 2, 3: 2, 2: 2}),
+    # K4 with one list of four colors: not the complete-graph obstruction
+    "k4-one-long-list": (lambda: complete_graph(4),
+                         {1: {1, 2, 3}, 2: {1, 2, 3}, 3: {1, 2, 3}, 4: {1, 2, 3, 4}},
+                         {3: 1, 2: 2, 1: 3, 4: 4}),
+}
+
+
+@pytest.mark.parametrize("name", SLACK_REACHING_DEGREES)
+def test_slack_with_lists_reaching_degrees_is_colored(name):
+    make, raw, want = SLACK_REACHING_DEGREES[name]
+    g = make()
+    lists = {v: frozenset(colors) for v, colors in raw.items()}
+    assert not check_hypotheses_by_components(g, lists).ok
+    assert check_hypotheses(g, lists).ok
+    phi = brooks_list_color(g, lists)
+    assert list(phi.items()) == list(want.items())
+    assert verify_coloring(g, lists, phi) is None
+
+
+def _meets_a_condition(g, lists, comp):
+    # the package's rule, from first principles
+    sizes = [len(lists[v]) for v in comp]
+    degrees = [g.degree(v) for v in comp]
+    if all(s >= d for s, d in zip(sizes, degrees)) and sizes != degrees:
+        return True
+    d = max(degrees)
+    complete = all(g.adjacent(u, v) for u, v in itertools.combinations(comp, 2))
+    return d >= 3 and min(sizes) >= d and not (len(comp) == d + 1 and complete)
+
+
+@st.composite
+def several_components(draw):
+    """Up to three random parts on at most 9 vertices in all, and lists of
+    one color fewer than, as many as or one more than each degree."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: sum(s) <= 9))
+    edges, first = [], 1
+    for k in sizes:
+        part = list(itertools.combinations(range(first, first + k), 2))
+        edges += draw(st.lists(st.sampled_from(part), unique=True)) if part else []
+        first += k
+    g = build_graph(first - 1, edges)
+    lists = {}
+    for v in g.vertices:
+        size = max(0, g.degree(v) + draw(st.integers(-1, 1)))
+        lists[v] = frozenset(draw(st.permutations(range(1, max(4, size) + 1)))[:size])
+    return g, lists
+
+
+@given(several_components())
+def test_hypotheses_widen_the_component_scan(instance):
+    g, lists = instance
+    before = check_hypotheses_by_components(g, lists)
+    report = check_hypotheses(g, lists)
+    comps = {tuple(sorted(bfs_reachable(g, v))) for v in g.vertices}
+    assert report.ok == all(_meets_a_condition(g, lists, comp) for comp in comps)
+    if before.ok:
+        assert report.ok
+        assert brooks_list_color(g, lists) == brooks_per_component(g, lists)[0]
+    if not report.ok:
+        assert not before.ok
+        comp = report.failing_component
+        assert report.detail == f"component {comp[0]}...: {component_refusal(g, lists, comp)}"
+        with pytest.raises(HypothesisViolation):
+            brooks_list_color(g, lists)
+    elif not before.ok:
+        assert verify_coloring(g, lists, brooks_list_color(g, lists)) is None
+        assert not isinstance(brute_force_list_color(g, lists), OracleOutcome)
 
 
 # ----------------------------------------------------------- build_branch_pair
