@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .chordal import chordality_certificate, uniform_lists
-from .generate import MODELS, GeneratorConfig, InfeasibleConfig, generate
 from .graph import GraphError, max_degree
-from .instance_io import (MAX_VERTICES, ParseError, emit_coloring, emit_instance,
-                          parse_coloring, parse_instance)
+from .instance_io import (MAX_VERTICES, MODELS, InfeasibleConfig, ParseError, emit_coloring,
+                          emit_instance, parse_coloring, parse_instance)
 from .oracle import IncompleteColoring, OracleOutcome, brute_force_list_color, verify_coloring
 from .solver import HypothesisViolation, brooks_list_color
+
+# gen and seedrun import the generators where they run, so that color and
+# chordal never compile generate.py
+if TYPE_CHECKING:
+    from .generate import GeneratorConfig
 
 EXIT_OK = 0
 EXIT_HOLE = 1
@@ -83,6 +88,8 @@ def _read(path: str) -> str:
 
 
 def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
+    from .generate import GeneratorConfig
+
     return GeneratorConfig(
         n=args.n, delta=args.delta, model=args.model, seed=args.seed,
         list_size=args.delta if args.list_size is None else args.list_size,
@@ -104,6 +111,8 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     count = args.count
     if count < 1:
         raise _UsageError("seedrun needs a positive instance count")
+    from .generate import generate
+
     config = _config_from_args(args)
     # seed by seed, so a batch holds one instance in memory at a time
     done = failed = 0
@@ -181,6 +190,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import generate
+
     text = emit_instance(*generate(_config_from_args(args)))  # the graph is freed before the write
     sys.stdout.write(text)
     return EXIT_OK

@@ -15,11 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chordal import ListAssignment
 from .graph import Graph
-from .instance_io import MAX_VERTICES
-
-
-class InfeasibleConfig(Exception):
-    """The requested instance cannot exist (e.g. degree cap too tight)."""
+from .instance_io import MAX_VERTICES, MODELS, InfeasibleConfig
 
 
 _MASK64 = (1 << 64) - 1
@@ -82,7 +78,6 @@ def _blocks(state: int) -> Iterator[memoryview]:
         size = min(2 * size, 2048)
 
 
-MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
 # gnp-capped walks up to n**2 / 2 pairs when p is small, so n is capped lower.
 MAX_GNP_VERTICES = 10_000
 # All lists together hold n * list_size colors, so their total is capped too.

@@ -14,6 +14,15 @@ from .graph import Graph, UnknownVertex, build_graph
 # allocated, so a larger header is refused before any edge is read.
 MAX_VERTICES = 1_000_000
 
+# The generator models and their refusal live here, beside the shared vertex
+# cap, so the CLI's `--model` choices and error handling do not load
+# generate.py; that module re-exports both.
+MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
+
+
+class InfeasibleConfig(Exception):
+    """The requested instance cannot exist (e.g. degree cap too tight)."""
+
 
 class ParseError(Exception):
     """Malformed input text; the message carries the 1-based line number."""

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from brookscolor import cli, solver
 from brookscolor.cli import main
 
 from reference import complete_graph, cycle_graph, four_rounds_22, path_graph, petersen_graph
+
+gen_mod = importlib.import_module("brookscolor.generate")
 
 
 @pytest.fixture()
@@ -223,7 +226,7 @@ def test_seedrun_reports_counts(capsys):
 
 def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeypatch):
     events = []
-    real_generate, real_color = cli.generate, cli.brooks_list_color
+    real_generate, real_color = gen_mod.generate, cli.brooks_list_color
 
     def generate(config):
         events.append("generate")
@@ -234,7 +237,7 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
         events.append("color")
         return real_color(g, lists)
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(gen_mod, "generate", generate)
     monkeypatch.setattr(cli, "brooks_list_color", color)
     code, out, _ = run(capsys, ["seedrun", "5", "--n", "12", "--delta", "3", "--seed", "1"])
     assert code == 0 and out.splitlines()[-1] == "pass 5 fail 0"
@@ -245,7 +248,7 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
 def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
     # the solver's own hypothesis scan screens a seed; no second pass over it
     generated, passes = [], []
-    real_generate, real_scan = cli.generate, solver._check_hypotheses
+    real_generate, real_scan = gen_mod.generate, solver._check_hypotheses
 
     def generate(config):
         generated.append(config.seed)
@@ -255,7 +258,7 @@ def test_seedrun_screens_each_seed_once(capsys, monkeypatch):
         passes.append(g.n)
         return real_scan(g, lists)
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(gen_mod, "generate", generate)
     monkeypatch.setattr(solver, "_check_hypotheses", scan)
     # lists of 3 colors: seeds 1, 2, 5, 6, 8 and 9 have a component of max
     # degree 4 and fail the hypotheses
@@ -313,6 +316,17 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
                        (["seedrun", "0"], "positive instance count")):
         code, out, err = run(capsys, argv)
         assert code == 64 and out == "" and "usage error: " in err and said in err, argv
+    # the models and the generators' refusal live outside generate.py; the
+    # bytes were computed before they moved
+    choices = ("usage error: argument --model: invalid choice: 'nope' (choose from"
+               " 'tree-plus-edges', 'chordal-simplicial', 'gnp-capped')\n")
+    for argv, said in ((["gen", "--model", "nope"], choices),
+                       (["seedrun", "1", "--model", "nope"], choices),
+                       (["gen", "--n", "3", "--delta", "1"],
+                        "usage error: no spanning tree with degree cap 1 on 3 vertices\n"),
+                       (["seedrun", "2", "--model", "chordal-simplicial", "--n", "3",
+                         "--delta", "1"], "usage error: degree cap 1 cannot fit 3 vertices\n")):
+        assert run(capsys, argv) == (64, "", said), argv
 
 
 def test_uniform_beyond_max_degree_builds_max_degree_plus_one_colors(capsys, tmp_path,
@@ -393,19 +407,48 @@ def test_every_subcommand_deterministic(capsys, tmp_path, c5_file, petersen_file
     assert first[0] == 0 and first[1].endswith("pass 3 fail 0\n")
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # each costs start-up time on every command (array is a shared library
-    # that a lane constant could be built with), and so would building the
-    # generators' lane constants; -S skips site-packages, so the package
-    # comes from the source tree
+def _fresh_child(code, *args):
+    # -S skips site-packages, so the package comes from the source tree
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, brookscolor.cli; "
-            "print(sorted({'array', 'dataclasses', 'inspect'} & set(sys.modules)),"
-            " len(sys.modules['brookscolor.generate']._LANES))")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[] 0"
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
+    # each costs start-up time on every command (array is a shared library
+    # that a lane constant could be built with); color and chordal never
+    # generate, so they never compile the generators either
+    path = tmp_path / "petersen.col"
+    path.write_text(emit_instance(petersen_graph(), uniform_lists(petersen_graph(), 3)))
+    code = ("import sys, brookscolor.cli as cli; "
+            "loaded = lambda: sorted({'array', 'dataclasses', 'inspect', 'brookscolor.generate'}"
+            " & set(sys.modules)); "
+            "print(loaded()); "
+            "print(cli.main(['color', sys.argv[1]]), cli.main(['chordal', sys.argv[1]]), loaded())")
+    out = _fresh_child(code, str(path)).splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "0 1 []"  # Petersen is colored, and has a hole
+
+
+_GENERATOR_NAMES = ("MODELS", "GeneratorConfig", "InfeasibleConfig", "SplitMix64", "generate",
+                    "random_lists")
+
+
+@pytest.mark.parametrize("first", ["importlib.import_module('brookscolor.generate')",
+                                   "from brookscolor import SplitMix64",
+                                   "from brookscolor import generate"])
+def test_package_generate_stays_the_function(first):
+    # loading the submodule binds it on the package under its own name; the
+    # package's `generate` must stay the generator function whichever way it
+    # is first loaded
+    code = (f"import importlib, sys, brookscolor; {first}; "
+            "from brookscolor import generate, GeneratorConfig; "
+            "module = sys.modules['brookscolor.generate']; "
+            "g, lists = generate(GeneratorConfig(n=6, delta=3, seed=1)); "
+            f"print(callable(brookscolor.generate), g.n, len(lists), "
+            f"[getattr(brookscolor, name) is getattr(module, name) for name in {_GENERATOR_NAMES}])")
+    assert _fresh_child(code) == f"True 6 6 {[True] * 6}\n"
 
 
 def _cli_digests(capsys, tmp_path):

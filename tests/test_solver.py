@@ -762,8 +762,10 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
     phi = brooks_list_color(g, lists)
     assert branch_picks == ["F", "F", "F", "F"]
     assert sizes == [2022, 2018, 2014, 2010]
-    # 25.4 n: 16 n for the input's components, hypothesis check and final
-    # verification, 9 n to order and color the 2 000 vertices the last round
-    # frees. A whole-graph pass in each of the four rounds would add 16 n.
+    # 26.4 n: 17 n for the input's list-against-degree scan (6 n), its
+    # components (5 n) and the final verification (6 n), 9 n to order (4 n)
+    # and color (5 n) the 2 000 vertices the last round frees, and 0.4 n for
+    # the four rounds' certificates, branch pairs and residual lists. A
+    # whole-graph pass in each of the four rounds would add 16 n.
     assert reads[0] <= 30 * g.n, reads[0]
     assert verify_coloring(g, lists, phi) is None
