@@ -418,17 +418,22 @@ def _fresh_child(code, *args):
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     # each costs start-up time on every command (array is a shared library
     # that a lane constant could be built with); color and chordal never
-    # generate, so they never compile the generators either
+    # generate, so they never compile the generators either, and loading the
+    # generators for gen and seedrun must not pull them in or build the
+    # generators' lane constants
     path = tmp_path / "petersen.col"
     path.write_text(emit_instance(petersen_graph(), uniform_lists(petersen_graph(), 3)))
     code = ("import sys, brookscolor.cli as cli; "
             "loaded = lambda: sorted({'array', 'dataclasses', 'inspect', 'brookscolor.generate'}"
             " & set(sys.modules)); "
             "print(loaded()); "
-            "print(cli.main(['color', sys.argv[1]]), cli.main(['chordal', sys.argv[1]]), loaded())")
+            "print(cli.main(['color', sys.argv[1]]), cli.main(['chordal', sys.argv[1]]), loaded()); "
+            "import brookscolor.generate; "
+            "print(loaded(), len(sys.modules['brookscolor.generate']._LANES))")
     out = _fresh_child(code, str(path)).splitlines()
     assert out[0] == "[]"
-    assert out[-1] == "0 1 []"  # Petersen is colored, and has a hole
+    assert out[-2] == "0 1 []"  # Petersen is colored, and has a hole
+    assert out[-1] == "['brookscolor.generate'] 0"
 
 
 _GENERATOR_NAMES = ("MODELS", "GeneratorConfig", "InfeasibleConfig", "SplitMix64", "generate",
