@@ -12,9 +12,8 @@ along the order.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
-from itertools import combinations, filterfalse
+from itertools import combinations, compress, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
@@ -75,22 +74,21 @@ class ChordalityCertificate:
 
 def uniform_lists(g: Graph, k: int) -> ListAssignment:
     """Every vertex gets the list {1, ..., k}."""
-    colors = frozenset(range(1, k + 1))
-    return {v: colors for v in g.vertices}
+    return dict.fromkeys(g.vertices, frozenset(range(1, k + 1)))
 
 
 def _mcs(g: Graph) -> Iterator[int]:
     """Yield the vertices in maximum cardinality search order.
 
-    A vertex gets its weight (visited neighbors; -1 once visited) when the
-    search first touches it. buckets[w] (w >= 1) is a min-heap of the ids
-    that reached weight w; an entry is stale once its vertex is visited or
-    heavier. Weight 0 has no bucket: the untouched vertices come in ascending
-    order from one lazy pass over the keys, read once per component.
+    weight[v] counts v's visited neighbors, -1 once v is visited. buckets[w]
+    (w >= 1) is a min-heap of the ids that reached weight w; an entry is
+    stale once its vertex is visited or heavier. Weight 0 has no bucket: the
+    untouched vertices come in ascending order from one lazy pass over the
+    ids, read once per component.
     """
-    adjacency = g.adjacency
-    weight: dict[int, int] = {}
-    untouched = filterfalse(weight.__contains__, adjacency)
+    slots = g.slots
+    weight = [0] * len(slots)
+    untouched = filterfalse(weight.__getitem__, g.vertices)
     buckets: list[list[int]] = [[]]  # [0] stays empty
     top = 0
     while True:
@@ -108,8 +106,8 @@ def _mcs(g: Graph) -> Iterator[int]:
                 return
         weight[v] = -1  # visited
         yield v
-        for u in adjacency[v]:
-            w = weight.get(u, 0) + 1
+        for u in slots[v]:
+            w = weight[u] + 1
             if w:  # u is unvisited
                 weight[u] = w
                 if w == len(buckets):
@@ -129,10 +127,10 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     return tuple(_mcs(g))
 
 
-def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, dict[int, int]]:
+def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, list[int]]:
     """Check each vertex of order against its earlier neighbors, up to the
-    first violation: that violation (None if none) and the positions of the
-    vertices that passed. The violation holds the lexicographically smallest
+    first violation: that violation (None if none) and the vertices that
+    passed, in order. The violation holds the lexicographically smallest
     non-adjacent pair of earlier neighbors.
 
     Checking against the latest-placed earlier neighbor, the anchor,
@@ -140,11 +138,13 @@ def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, dict
     neighbors, pairwise adjacent since it passed. One vertex can anchor many
     later ones, so each anchor's closed neighborhood is built once per walk.
     """
-    adjacency = g.adjacency
-    pos: dict[int, int] = {}
+    slots = g.slots
+    passed: list[int] = []
+    pos = [0] * len(slots)  # 1 + the position of each vertex that passed
     closed_sets: dict[int, frozenset[int]] = {}
     for v in order:
-        earlier = [u for u in adjacency[v] if u in pos]  # ascending
+        nbrs = slots[v]
+        earlier = list(compress(nbrs, map(pos.__getitem__, nbrs)))  # ascending
         if len(earlier) > 1:
             anchor = max(earlier, key=pos.__getitem__)
             closed = closed_sets.get(anchor)
@@ -153,9 +153,10 @@ def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, dict
             if not closed.issuperset(earlier):
                 # the anchor and some earlier vertex form a pair, so next() finds one
                 pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
-                return PeoViolation(vertex=v, witness_pair=pair), pos
-        pos[v] = len(pos)
-    return None, pos
+                return PeoViolation(vertex=v, witness_pair=pair), passed
+        passed.append(v)
+        pos[v] = len(passed)
+    return None, passed
 
 
 def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
@@ -165,7 +166,7 @@ def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
     lexicographically smallest non-adjacent pair of earlier neighbors.
     """
     seq = tuple(order)
-    if len(seq) != g.n or set(seq) != g.adjacency.keys():
+    if len(seq) != g.n or not set(seq).issuperset(g.vertices):
         raise NotAPermutation("order must be a permutation of the graph's vertices")
     return _walk_peo(g, seq)[0]
 
@@ -185,19 +186,26 @@ def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
         raise PreconditionBreach(f"{u} and {w} must both be neighbors of {v}")
     if u == w or g.adjacent(u, w):
         raise PreconditionBreach(f"{u} and {w} must be distinct and not adjacent")
-    blocked = (v_nbrs | {v}) - {u, w}
-    parent: dict[int, int | None] = {u: None}
-    queue = deque([u])
-    while queue and w not in parent:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in blocked and y not in parent:
+    slots = g.slots
+    # BFS parents by id; the rest of v's closed neighborhood is marked reached
+    # beforehand, so the search never enters it
+    parent: list[int | None] = [None] * len(slots)
+    for x in (*v_nbrs, v):
+        parent[x] = v
+    parent[u] = u
+    parent[w] = None
+    queue = [u]
+    for x in queue:  # the list grows while it is scanned: a queue
+        for y in slots[x]:
+            if parent[y] is None:
                 parent[y] = x
                 queue.append(y)
-    if w not in parent:
+        if parent[w] is not None:
+            break
+    else:
         return None
     path = [w]
-    while parent[path[-1]] is not None:
+    while path[-1] != u:
         path.append(parent[path[-1]])  # type: ignore[arg-type]
     path.reverse()  # u ... w
     return Hole((v, *path))
@@ -217,9 +225,9 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     smallest id first, then toward the smaller of that vertex's two cycle
     neighbors.
     """
-    viol, pos = _walk_peo(g, _mcs(g))
+    viol, passed = _walk_peo(g, _mcs(g))
     if viol is None:
-        return ChordalityCertificate(peo=tuple(pos))
+        return ChordalityCertificate(peo=tuple(passed))
     hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)
     if hole is None:
         raise InternalInvariantBroken("order verification failed but no hole was found")
@@ -231,21 +239,29 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
     return ChordalityCertificate(hole=Hole(cycle))
 
 
-def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment) -> Coloring:
+def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
+                       colors: list[int | None] | None = None) -> Coloring | list[int | None]:
     """Color vertices in the given order, smallest free list color first.
 
     Succeeds whenever some list color is free at every step; in particular
     along a perfect elimination ordering with lists of size >= clique number,
     and in any order when every list exceeds the vertex's degree.
+
+    lists maps each vertex to its list, by dict or by a list indexed by id.
+    Given `colors`, a list by id (None: uncolored) that the solver's passes
+    share, order extends it in place, trusted to name uncolored vertices of g;
+    else order must be a permutation of g's vertices, colored afresh.
     """
-    adjacency = g.adjacency
-    seq = tuple(order)
-    if len(seq) != len(adjacency) or adjacency.keys() != set(seq):
-        raise NotAPermutation("order must be a permutation of the graph's vertices")
-    colors: Coloring = {}
-    color_of = colors.get
-    for v in seq:
-        used = set(map(color_of, adjacency[v]))  # None marks an uncolored neighbor
+    slots = g.slots
+    public = colors is None
+    if public:
+        order = tuple(order)
+        if len(order) != g.n or not set(order).issuperset(g.vertices):
+            raise NotAPermutation("order must be a permutation of the graph's vertices")
+        colors = [None] * len(slots)
+    color_of = colors.__getitem__
+    for v in order:
+        used = set(map(color_of, slots[v]))  # None marks an uncolored neighbor
         # one scan for the smallest free color: no copy and no sort of the
         # list, and faster than min(filterfalse(...)) or a set difference
         best = None
@@ -255,4 +271,4 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment) ->
         if best is None:
             raise ListExhausted(v)
         colors[v] = best
-    return colors
+    return dict(zip(order, map(color_of, order))) if public else colors

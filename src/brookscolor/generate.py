@@ -306,12 +306,13 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
     elif config.n > 1 and config.model == "chordal-simplicial":
         edges = _chordal_simplicial(config.n, config.delta, draw)
     # the models' edges are distinct and in 1..n: no checks, no de-duplication.
-    # Each id is one object, ids[v], stored as key and as every neighbor entry.
+    # Each id is one object, ids[v], stored as vertex and as every neighbor entry.
     ids = list(range(config.n + 1))
-    neighbors: list[list[int]] = [[] for _ in ids]
+    slots: list = [[] for _ in ids]
     for u, v in edges:
-        neighbors[u].append(ids[v])
-        neighbors[v].append(ids[u])
-    g = Graph({v: tuple(sorted(neighbors[v])) for v in ids[1:]})
-    del edges, neighbors, ids  # freed before the lists are drawn: a lower peak
+        slots[u].append(ids[v])
+        slots[v].append(ids[u])
+    slots = [None, *map(tuple, map(sorted, slots[1:]))]
+    g = Graph(slots, tuple(ids[1:]))
+    del edges, slots, ids  # freed before the lists are drawn: a lower peak
     return g, _draw_lists(g.vertices, config.palette, config.list_size, draw)

@@ -9,7 +9,12 @@ computation reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Collection, Iterable, Iterator
+from itertools import filterfalse
+from typing import Iterable, Iterator, Sequence
+
+# Largest vertex id, and largest vertex count a problem line may declare:
+# every pass sizes its per-vertex arrays by the largest id.
+MAX_VERTICES = 1_000_000
 
 
 class GraphError(Exception):
@@ -31,52 +36,48 @@ class EndpointDeleted(GraphError):
 class Graph:
     """Simple undirected graph, immutable once built.
 
-    The one constructor is trusted: it takes a neighbor dict whose keys and
-    neighbor tuples are in ascending id order, symmetric and loop-free, and
-    keeps it as is, as the graph's only field; every other view is derived
-    from it when read. Build graphs through :func:`build_graph`, which sorts,
-    or :func:`surgery`.
+    Vertices sit in slots indexed by id: ``slots[v]`` is v's neighbor tuple,
+    ascending, and None where no vertex has id v; ``vertices`` holds the ids
+    ascending. Ids lie in 0..MAX_VERTICES. The slot list, and every per-vertex
+    array a pass keeps, is sized by the largest id, so sparse ids cost memory
+    and time in proportion to that id rather than to n.
 
-    Every neighbor entry is its vertex's key object, not merely an equal
-    int. Dict and set lookups compare identity before ``==``, and CPython
-    caches only the ints up to 256, so above that a mere equal int costs a
-    rich comparison on every lookup of the solver's passes. ``build_graph``
-    and ``generate`` make it so; ``surgery`` (for added edges between g's own
-    vertex objects, as a hole's are) and ``_closed_part`` (for a part read
-    from g) keep it.
+    The one constructor is trusted: it takes the slot list and the id tuple,
+    symmetric, loop-free and sorted, and keeps both as they are. Build graphs
+    through :func:`build_graph`, which sorts, or :func:`surgery`.
     """
 
-    __slots__ = ("_neighbors",)
+    __slots__ = ("_slots", "_ids")
 
-    def __init__(self, neighbors: dict[int, tuple[int, ...]]):
-        self._neighbors = neighbors
+    def __init__(self, slots: list[tuple[int, ...] | None], ids: tuple[int, ...]):
+        self._slots = slots
+        self._ids = ids
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(self._neighbors)
+        return self._ids
 
     @property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """The neighbor dict itself, for passes that read every vertex; it
-        must not be modified."""
-        return self._neighbors
+    def slots(self) -> list[tuple[int, ...] | None]:
+        """The slot list itself, for passes that read every vertex; it must
+        not be modified."""
+        return self._slots
 
     @property
     def n(self) -> int:
-        return len(self._neighbors)
+        return len(self._ids)
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._neighbors.values())) // 2
+        return sum(map(len, map(self._slots.__getitem__, self._ids))) // 2
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._neighbors
+        return 0 <= v < len(self._slots) and self._slots[v] is not None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._neighbors[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} is not in the graph") from None
+        if self.has_vertex(v):
+            return self._slots[v]
+        raise UnknownVertex(f"vertex {v} is not in the graph")
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         """A set of v's neighbors, built afresh on each call."""
@@ -93,15 +94,16 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for v, nbrs in self._neighbors.items():
-            for u in nbrs:
+        for v in self._ids:
+            for u in self._slots[v]:
                 if u > v:
                     yield (v, u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._neighbors == other._neighbors
+        ids = self._ids
+        return ids == other._ids and all(self._slots[v] == other._slots[v] for v in ids)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -109,57 +111,58 @@ class Graph:
 
 def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph from a vertex-id collection (or a count n, meaning 1..n)
-    and unordered edge pairs. Duplicate edges collapse silently.
+    and unordered edge pairs. Duplicate edges collapse silently. Ids must lie
+    in 0..MAX_VERTICES.
 
-    Each vertex's neighbors are gathered in a list that starts with the
-    vertex's own key, so an edge stores the other endpoint's key object, not
-    the caller's int. Each list is then de-duplicated and sorted once, into a
-    tuple that replaces it in the same dict.
+    Each vertex's neighbors are gathered in a list in its slot, then
+    de-duplicated and sorted once, into a tuple that replaces the list.
     """
-    ids = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else n_or_ids
-    gather: dict = {}  # id -> its gather list, then its neighbor tuple
-    for v in ids:
-        if v < 0:
-            raise UnknownVertex(f"vertex ids must be non-negative, got {v}")
-        gather.setdefault(v, [v])
+    ids = list(range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else n_or_ids)
+    vertices = sorted(set(ids))
+    if vertices and not 0 <= vertices[0] <= vertices[-1] <= MAX_VERTICES:
+        bad = next(v for v in ids if not 0 <= v <= MAX_VERTICES)
+        raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {bad}")
+    size = vertices[-1] + 1 if vertices else 0
+    gather: list = [None] * size
+    for v in vertices:
+        gather[v] = []
     for u, v in edges:
         if u == v:
             raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
         try:
-            at_u = gather[u]
-            at_v = gather[v]
-        except KeyError:
-            unknown = v if u in gather else u
+            if u < 0 or v < 0:
+                raise IndexError  # a negative index would count from the end
+            gather[u].append(v)
+            gather[v].append(u)
+        except (AttributeError, IndexError):  # None or no slot: not a vertex
+            unknown = v if 0 <= u < size and gather[u] is not None else u
             raise UnknownVertex(f"edge endpoint {unknown} is not a declared vertex") from None
-        at_u.append(at_v[0])
-        at_v.append(at_u[0])
-    for v, nbrs in gather.items():
-        gather[v] = tuple(sorted(set(nbrs[1:])))
-    keys = sorted(gather)
-    if keys != list(gather):
-        gather = {v: gather[v] for v in keys}
-    return Graph(gather)
+    for v in vertices:
+        gather[v] = tuple(sorted(set(gather[v])))
+    return Graph(gather, tuple(vertices))
 
 
 def max_degree(g: Graph) -> int:
     """Largest vertex degree; 0 for edgeless (or empty) graphs."""
-    return max(map(len, g.adjacency.values()), default=0)
+    return max(map(len, map(g.slots.__getitem__, g.vertices)), default=0)
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted id tuples, ordered by smallest id."""
-    adjacency = g.adjacency
-    seen: set[int] = set()
+def connected_components(g: Graph, seen: list[bool] | None = None) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted id tuples, ordered by smallest id; given
+    `seen`, marks by id, only those of the unmarked vertices, marking them."""
+    slots = g.slots
+    if seen is None:
+        seen = [False] * len(slots)
     components: list[tuple[int, ...]] = []
-    for start in adjacency:
-        if start in seen:
+    for start in g.vertices:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         comp = [start]
         for v in comp:  # the list grows while it is scanned: a queue
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
+            for u in slots[v]:
+                if not seen[u]:
+                    seen[u] = True
                     comp.append(u)
         comp.sort()
         components.append(tuple(comp))
@@ -184,11 +187,11 @@ def surgery(
     """Induced subgraph on V(g) minus `delete`, plus the edges in `add_edges`.
 
     Surviving vertices keep their ids, so the original graph and any number
-    of derived graphs can be used side by side. Cost: one C-level copy of g's
-    neighbor dict, which shares every neighbor tuple, plus Python work only
-    for what the surgery touches: the deleted vertices' neighbor tuples and
-    the rebuilt tuples of their surviving neighbors and of the added edges'
-    endpoints.
+    of derived graphs can be used side by side. Cost: C-level copies of g's
+    slot list, which shares every neighbor tuple, and of its id tuple, plus
+    Python work only for what the surgery touches: the deleted vertices'
+    neighbor tuples and the rebuilt tuples of their surviving neighbors and
+    of the added edges' endpoints.
     """
     doomed = frozenset(delete)
     for v in doomed:
@@ -205,23 +208,26 @@ def surgery(
                 raise UnknownVertex(f"added edge ({u}, {v}) uses unknown vertex {x}")
         additions.setdefault(u, []).append(v)
         additions.setdefault(v, []).append(u)
-    old = g._neighbors
-    neighbors = old.copy()  # C-level copy: every untouched tuple is shared
+    old = g._slots
+    slots = old.copy()  # C-level copy: every untouched tuple is shared
     touched = set(additions)
     for v in doomed:
-        touched.update(neighbors.pop(v))
+        touched.update(slots[v])
+        slots[v] = None
     for v in touched - doomed:
         nbrs = [u for u in old[v] if u not in doomed]
         if v in additions:
             nbrs = sorted(set(nbrs).union(additions[v]))
-        neighbors[v] = tuple(nbrs)
-    return Graph(neighbors)  # the keys keep g's ascending order
+        slots[v] = tuple(nbrs)
+    return Graph(slots, tuple(filterfalse(doomed.__contains__, g._ids)))
 
 
-def _closed_part(g: Graph, part: Collection[int]) -> Graph:
-    """The subgraph of g on part, a vertex set no edge leaves (a union of
-    components), sharing g's neighbor tuples; g itself if part is all of g."""
-    if len(part) == g.n:
-        return g
-    neighbors = g.adjacency
-    return Graph({v: neighbors[v] for v in sorted(part)})
+def _closed_part(g: Graph, part: Sequence[int]) -> Graph:
+    """The subgraph of g on part, an ascending vertex tuple that no edge
+    leaves (a union of components), with part[i] renamed i. Renaming keeps
+    every ascending-id order, and the new graph's arrays are sized by its own
+    n, not by g's largest id."""
+    ids = tuple(range(len(part)))
+    rank = dict(zip(part, ids))
+    slots = g.slots
+    return Graph([tuple(map(rank.__getitem__, slots[v])) for v in part], ids)

@@ -8,11 +8,10 @@ Vertex ids are 1..n. Coloring files hold ``v id color`` lines.
 from __future__ import annotations
 
 from .chordal import Coloring, ListAssignment
-from .graph import Graph, UnknownVertex, build_graph
+from .graph import MAX_VERTICES, Graph, UnknownVertex, build_graph
 
-# Largest vertex count a problem line may declare. Every declared vertex is
-# allocated, so a larger header is refused before any edge is read.
-MAX_VERTICES = 1_000_000
+# MAX_VERTICES bounds a problem line's vertex count too: every declared
+# vertex is allocated, so a larger header is refused before any edge is read.
 
 # The generator models and their refusal live here, beside the shared vertex
 # cap, so the CLI's `--model` choices and error handling do not load
@@ -75,7 +74,7 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
         raise ParseError(1, "missing problem line 'p edge <n> <m>'")
     # the rest in one pass: edge endpoints in two id lists, color lists by id.
     # Each endpoint is stored as ids' own object for its id, which become the
-    # graph's keys: no second int per reference.
+    # graph's vertices: no second int per reference, most of a graph's memory.
     ids = list(range(n + 1))
     us: list[int] = []
     vs: list[int] = []
@@ -143,7 +142,7 @@ def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
         raise ValueError("emit requires contiguous vertex ids 1..n")
     out = [f"p edge {g.n} {g.m}"]
     # g.edges() inlined: its second generator cost about a tenth of emit
-    out.extend(f"e {v} {u}" for v, nbrs in g.adjacency.items() for u in nbrs if u > v)
+    out.extend(f"e {v} {u}" for v, nbrs in zip(ids, g.slots[1:]) for u in nbrs if u > v)
     if lists is not None:
         # render each distinct list once, keyed by itself: a frozenset caches its hash
         rendered: dict[object, str] = {}
@@ -182,4 +181,4 @@ def parse_coloring(text: str) -> Coloring:
 
 def emit_coloring(phi: Coloring) -> str:
     """Render a coloring as ``v id color`` lines, ascending by id."""
-    return "".join(f"v {v} {phi[v]}\n" for v in sorted(phi))
+    return "".join([f"v {v} {phi[v]}\n" for v in sorted(phi)])

@@ -33,25 +33,29 @@ class Defect(NamedTuple):
         return f"edge ({u}, {v}) is monochromatic"
 
 
-def verify_coloring(g: Graph, lists: ListAssignment | None, phi: Coloring) -> Defect | None:
+def verify_coloring(g: Graph, lists: ListAssignment | None,
+                    phi: Coloring | list[int | None]) -> Defect | None:
     """None if phi is proper and drawn from the lists; else the first defect.
 
     Vertices are scanned ascending; at each vertex the list check precedes the
     checks of its edges toward larger neighbor ids. Pass lists=None to check
-    properness only.
+    properness only. phi may also be a list indexed by id, as the solver keeps
+    it; an uncolored vertex's None then fails its list check.
     """
-    adjacency = g.adjacency
-    missing = list(filterfalse(phi.__contains__, adjacency))
-    if missing:
-        raise IncompleteColoring(f"vertices without a color: {missing[:5]}")
-    if len(phi) != len(adjacency):
-        extra = sorted(phi.keys() - adjacency.keys())
-        raise IncompleteColoring(f"colors assigned outside the graph: {extra[:5]}")
-    for v, nbrs in adjacency.items():
+    ids = g.vertices
+    slots = g.slots
+    if isinstance(phi, dict):
+        missing = list(filterfalse(phi.__contains__, ids))
+        if missing:
+            raise IncompleteColoring(f"vertices without a color: {missing[:5]}")
+        if len(phi) != len(ids):
+            extra = sorted(phi.keys() - set(ids))
+            raise IncompleteColoring(f"colors assigned outside the graph: {extra[:5]}")
+    for v in ids:
         color = phi[v]
         if lists is not None and color not in lists[v]:
             return Defect(kind="color-not-in-list", vertex=v)
-        for u in nbrs:
+        for u in slots[v]:
             if u > v and phi[u] == color:
                 return Defect(kind="monochromatic-edge", edge=(v, u))
     return None

@@ -30,9 +30,9 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse, product
+from itertools import chain, compress, filterfalse, product
 from operator import ge, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .chordal import (
     Coloring,
@@ -128,24 +128,21 @@ def _check_hypotheses(
     # each list's excess over its degree. Components are found only on what
     # the search leaves, or on all of g to refuse a list shorter than its
     # degree.
-    adjacency = g.adjacency
+    ids = g.vertices
+    slots = g.slots
     try:
-        sizes = list(map(len, map(lists.__getitem__, adjacency)))
+        sizes = list(map(len, map(lists.__getitem__, ids)))
     except KeyError:
-        raise MissingList(next(filterfalse(lists.__contains__, adjacency))) from None
-    excess = list(map(sub, sizes, map(len, adjacency.values())))
-    order: list[int] = []
-    if any(excess):
-        if min(excess) < 0:
-            return _first_failure(g, lists, connected_components(g)), order, ()
-        order = _slack_order(g, list(compress(adjacency, excess)))
-        if len(order) == len(excess):
-            return HypothesisReport(ok=True), order, ()
-        reached = set(order)
-        g = _closed_part(g, list(filterfalse(reached.__contains__, adjacency)))
-        sizes = list(map(len, map(lists.__getitem__, g.adjacency)))
-    # every list in g is exactly as long as its vertex's degree
-    parts = connected_components(g)
+        raise MissingList(next(filterfalse(lists.__contains__, ids))) from None
+    excess = list(map(sub, sizes, map(len, map(slots.__getitem__, ids))))
+    if min(excess, default=0) < 0:
+        return _first_failure(g, lists, connected_components(g)), [], ()
+    order, seen = _slack_order(g, list(compress(ids, excess)))
+    if len(order) == len(excess):
+        return HypothesisReport(ok=True), order, ()
+    parts = connected_components(g, seen)
+    if order:  # every list left is exactly as long as its vertex's degree
+        sizes = list(map(len, map(lists.__getitem__, chain.from_iterable(parts))))
     d = max(sizes, default=0)
     regular = min(sizes, default=0) == d >= 3
     if regular and not any(len(comp) == d + 1 and is_complete(g, comp) for comp in parts):
@@ -153,16 +150,13 @@ def _check_hypotheses(
     return _first_failure(g, lists, parts), order, parts
 
 
-def _first_failure(
-    g: Graph,
-    lists: ListAssignment,
-    parts: tuple[tuple[int, ...], ...],
-) -> HypothesisReport:
+def _first_failure(g: Graph, lists: ListAssignment,
+                   parts: tuple[tuple[int, ...], ...]) -> HypothesisReport:
     # The first of parts that passes neither (a) nor (b), or an ok report.
-    adjacency = g.adjacency
+    slots = g.slots
     for comp in parts:
         sizes = [len(lists[v]) for v in comp]
-        degrees = [len(adjacency[v]) for v in comp]
+        degrees = [len(slots[v]) for v in comp]
         if sizes != degrees and all(map(ge, sizes, degrees)):
             continue
         d = max(degrees)
@@ -306,44 +300,44 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     report, order, tight = _check_hypotheses(g, lists)
     if not report.ok:
         raise HypothesisViolation(report.detail)
-    colors = greedy_color_along(_closed_part(g, order), order, lists)
+    colors: list[int | None] = [None] * len(g.slots)  # by id, shared by every pass
+    greedy_color_along(g, order, lists, colors)
     for comp in tight:
-        _color_tight(_closed_part(g, comp), lists, colors)
+        if len(comp) == g.n:
+            _color_tight(g, lists, colors)
+        else:  # on slots of its own, comp[i] renamed i
+            part: list[int | None] = [None] * len(comp)
+            _color_tight(_closed_part(g, comp), list(map(lists.__getitem__, comp)), part)
+            for v, color in zip(comp, part):
+                colors[v] = color
     defect = verify_coloring(g, lists, colors)
     if defect is not None:
         raise InternalInvariantBroken(f"solver output failed verification: {defect}")
-    return colors
+    return {v: colors[v] for v in g.vertices}
 
 
-def _slack_order(g: Graph, roots: list[int]) -> list[int]:
+def _slack_order(g: Graph, roots: list[int]) -> tuple[list[int], list[bool]]:
     """The vertices reachable from roots, in reverse breadth-first visit order
-    from all roots at once."""
-    adjacency = g.adjacency
+    from all roots at once, and their marks by id."""
+    slots = g.slots
+    seen = [False] * len(slots)
+    for v in roots:
+        seen[v] = True
     order = list(roots)
-    seen = set(order)
     for v in order:  # the list grows while it is scanned: a queue
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
+        for u in slots[v]:
+            if not seen[u]:
+                seen[u] = True
                 order.append(u)
     order.reverse()
-    return order
+    return order, seen
 
 
-def _color_slack(g: Graph, lists: ListAssignment, colors: Coloring, roots: list[int]) -> Coloring:
-    # Greedily colors every component of g that has a vertex with slack, into
-    # colors, and returns what it colored. roots ascend and hold every vertex
-    # of g with slack.
-    order = _slack_order(g, roots)
-    colored = greedy_color_along(_closed_part(g, order), order, lists)
-    colors.update(colored)
-    return colored
-
-
-def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
+def _color_tight(g: Graph, lists: Sequence[frozenset[int]], colors: list[int | None]) -> None:
     # g is a connected component without slack that satisfies (b): D-regular,
-    # lists of exactly D colors, not complete. rounds holds the tight graph and
-    # its hole of each round, outermost first.
+    # lists of exactly D colors, not complete. Each round greedily colors the
+    # branch's components with slack, whose roots neighbor a deleted hole
+    # vertex. rounds holds each round's tight graph and hole, outermost first.
     rounds: list[tuple[Graph, Hole]] = []
     while g.n:
         hole = chordality_certificate(g).hole
@@ -354,7 +348,10 @@ def _color_tight(g: Graph, lists: ListAssignment, colors: Coloring) -> None:
         roots = sorted({u for x in hole.cycle if not branch.has_vertex(x)
                         for u in g.neighbors(x)
                         if branch.has_vertex(u) and len(lists[u]) > branch.degree(u)})
-        colored = _color_slack(branch, lists, colors, roots)
-        g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph({})
+        colored = _slack_order(branch, roots)[0]
+        greedy_color_along(branch, colored, lists, colors)
+        g = surgery(branch, delete=colored) if len(colored) < branch.n else Graph([], ())
     for outer, hole in reversed(rounds):
-        colors.update(extend_around_cycle(hole, residual_lists(outer, hole, lists, colors)))
+        star = residual_lists(outer, hole, lists, colors)
+        for v, color in extend_around_cycle(hole, star).items():
+            colors[v] = color

@@ -49,6 +49,21 @@ from brookscolor.instance_io import MAX_VERTICES
 
 # ---------------------------------------------------------------- builders
 
+def graph_from_neighbors(neighbors) -> Graph:
+    """A graph from a symmetric, loop-free dict of neighbor collections,
+    through the trusted constructor: one slot per id up to the largest."""
+    ids = tuple(sorted(neighbors))
+    slots: list = [None] * (ids[-1] + 1 if ids else 0)
+    for v in ids:
+        slots[v] = tuple(sorted(neighbors[v]))
+    return Graph(slots, ids)
+
+
+def adjacency_items(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each vertex with its neighbor tuple, ascending."""
+    return tuple((v, g.neighbors(v)) for v in g.vertices)
+
+
 def four_rounds_22() -> Graph:
     """The 22-vertex cubic graph whose hole loop runs four F rounds."""
     return build_graph(22, [
@@ -499,7 +514,7 @@ def surgery_rebuild(
     neighbors = {v: tuple(u for u in g.neighbors(v) if u not in doomed) for v in vertices}
     for v, extra in additions.items():
         neighbors[v] = tuple(sorted(set(neighbors[v]).union(extra)))
-    return Graph(neighbors)
+    return graph_from_neighbors(neighbors)
 
 
 # ------------------------------------------------------- recursive oracle
@@ -554,8 +569,8 @@ def build_graph_sets(n_or_ids, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         ids = n_or_ids
     adjacency: dict[int, set[int]] = {}
     for v in ids:
-        if v < 0:
-            raise UnknownVertex(f"vertex ids must be non-negative, got {v}")
+        if not 0 <= v <= MAX_VERTICES:
+            raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {v}")
         adjacency.setdefault(v, set())
     for u, v in edges:
         if u == v:
@@ -566,7 +581,7 @@ def build_graph_sets(n_or_ids, edges: Iterable[tuple[int, int]] = ()) -> Graph:
             raise UnknownVertex(f"edge endpoint {v} is not a declared vertex")
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return Graph({v: tuple(sorted(adjacency[v])) for v in sorted(adjacency)})
+    return graph_from_neighbors(adjacency)
 
 
 def parse_instance_tuples(text: str):

@@ -22,7 +22,7 @@ from brookscolor import (
 from brookscolor.generate import MODELS
 from brookscolor.graph import _closed_part
 
-from reference import (bfs_reachable, build_graph_sets, complete_graph, cycle_graph, path_graph,
+from reference import (adjacency_items, bfs_reachable, build_graph_sets, complete_graph, cycle_graph, path_graph,
                        surgery_rebuild)
 from strategies import graphs, relabelled
 
@@ -194,9 +194,10 @@ def test_graph_equality_and_repr(g):
     assert repr(g) == f"Graph(n={g.n}, m={g.m})"
 
 
-# One int object per vertex id: CPython caches only -5..256, so above that a
-# key and an equal neighbor entry are two objects unless the builder shares
-# them, and every dict or set lookup of the entry then falls through to ==.
+# One int object per vertex id where the program makes the ints: CPython
+# caches only -5..256, so above that the parser and the generators would
+# otherwise hold a second int object for every neighbor entry, most of a
+# graph's memory. build_graph keeps the caller's objects.
 
 
 def _fresh(x: int) -> int:
@@ -205,27 +206,26 @@ def _fresh(x: int) -> int:
 
 
 def _shares_keys(g) -> bool:
-    """Every neighbor entry is its vertex's key object."""
-    adjacency = g.adjacency
-    key = {v: v for v in adjacency}
-    return all(u is key[u] for nbrs in adjacency.values() for u in nbrs)
+    """Every neighbor entry is its vertex's object."""
+    key = {v: v for v in g.vertices}
+    return all(u is key[u] for v in g.vertices for u in g.neighbors(v))
 
 
 def _built(n_or_ids, edges, build):
-    """The built graph's neighbor dict, key order included, or the exception's
-    class and message."""
+    """The built graph's vertices with their neighbor tuples, ascending, or
+    the exception's class and message."""
     try:
         g = build(n_or_ids, edges)
     except GraphError as exc:
         return type(exc), str(exc)
-    return tuple(g.adjacency.items())
+    return adjacency_items(g)
 
 
 @given(st.data())
 def test_build_graph_matches_set_reference(data):
     # a count n (ids 1..n) or an id collection, and edges that may repeat,
     # loop, or name ids outside the graph, including negative ones; ids reach
-    # past 256, and the built graph gets each endpoint as a new int object
+    # past 256, and each endpoint is a new int object
     ids = st.one_of(st.integers(-1, 14), st.integers(-1, 10**6))
     if data.draw(st.booleans()):
         n = data.draw(st.one_of(st.integers(-2, 8), st.integers(250, 270)))
@@ -247,28 +247,11 @@ def test_build_graph_matches_set_reference(data):
     except GraphError as exc:
         assert (type(exc), str(exc)) == want
     else:
-        assert tuple(g.adjacency.items()) == want
-        assert _shares_keys(g)
+        assert adjacency_items(g) == want
 
 
 def _ring(ids):
     return [(_fresh(ids[i - 1]), _fresh(ids[i])) for i in range(len(ids))]
-
-
-def test_build_graph_from_a_count_shares_key_objects():
-    n = 600
-    ids = list(range(1, n + 1))
-    g = build_graph(n, _ring(ids) + [(_fresh(300), _fresh(500)), (_fresh(500), _fresh(300))])
-    assert g.vertices == tuple(ids) and g.m == n + 1
-    assert _shares_keys(g)
-
-
-def test_build_graph_from_ids_shares_the_collection_s_objects():
-    ids = [_fresh(x) for x in range(1000, 4000, 7)]
-    g = build_graph(reversed(ids), _ring(ids))
-    assert g.vertices == tuple(ids)
-    assert all(key is v for key, v in zip(g.vertices, ids))
-    assert _shares_keys(g)
 
 
 def test_parse_instance_shares_key_objects_with_its_lists():
@@ -289,12 +272,13 @@ def test_generate_shares_key_objects_with_its_lists(model):
 
 
 def test_derived_graphs_share_key_objects():
-    # a 500-cycle through 300..799 with a pendant triangle: the certificate's
-    # hole feeds the branch surgery, as in a hole round
+    # a 500-cycle through 300..799 with a pendant triangle, parsed: the
+    # certificate's hole feeds the branch surgery, as in a hole round
     ring = list(range(300, 800))
-    g = build_graph([*ring, 900, 901], _ring(ring) + [(_fresh(900), _fresh(901)),
-                                                      (_fresh(901), _fresh(400)),
-                                                      (_fresh(900), _fresh(400))])
+    edges = _ring(ring) + [(900, 901), (901, 400), (900, 400)]
+    text = "".join([f"p edge 901 {len(edges)}\n", *(f"e {u} {v}\n" for u, v in edges)])
+    g = parse_instance(text)[0]
+    assert _shares_keys(g)
     hole = chordality_certificate(g).hole
     assert hole is not None and len(hole.cycle) == 500
     pair = build_branch_pair(g, hole)

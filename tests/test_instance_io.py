@@ -16,7 +16,7 @@ from brookscolor import (
     uniform_lists,
 )
 
-from reference import emit_instance_joined, parse_instance_tuples, path_graph
+from reference import adjacency_items, emit_instance_joined, parse_instance_tuples, path_graph
 from strategies import graphs
 
 
@@ -138,7 +138,7 @@ def _outcome(parse, text):
         g, lists = parse(text)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc), getattr(exc, "line_no", None)
-    return tuple(g.adjacency.items()), None if lists is None else tuple(lists.items())
+    return adjacency_items(g), None if lists is None else tuple(lists.items())
 
 
 @st.composite

@@ -131,7 +131,7 @@ def test_slack_with_lists_reaching_degrees_is_colored(name):
     assert not check_hypotheses_by_components(g, lists).ok
     assert check_hypotheses(g, lists).ok
     phi = brooks_list_color(g, lists)
-    assert list(phi.items()) == list(want.items())
+    assert list(phi.items()) == sorted(want.items())
     assert verify_coloring(g, lists, phi) is None
 
 
@@ -664,33 +664,38 @@ def test_brooks_matches_per_component_reference_on_disjoint_unions(monkeypatch):
     assert total_rounds >= 300 and most_rounds >= 4
 
 
-class _CountedAdjacency(dict):
-    """A copy of a neighbor dict that adds to reads[0] the vertex ids it hands
-    out: one per key iterated, one plus the length per neighbor tuple."""
-
-    def __init__(self, neighbors, reads):
-        super().__init__(neighbors)
-        self.reads = reads
-
-    def __getitem__(self, v):
-        nbrs = dict.__getitem__(self, v)
-        self.reads[0] += 1 + len(nbrs)
-        return nbrs
+class _CountedIds(tuple):
+    """A copy of an id tuple that adds to reads[0] one per id iterated."""
 
     def __iter__(self):
-        for v in dict.__iter__(self):
+        for v in tuple.__iter__(self):
             self.reads[0] += 1
             yield v
 
-    def keys(self):
-        self.reads[0] += len(self)
-        return set(dict.keys(self))
 
-    def values(self):
-        return [self[v] for v in self]
+class _CountedSlots(list):
+    """A copy of a slot list that adds to reads[0] one plus the length per
+    neighbor tuple read."""
 
-    def items(self):
-        return [(v, self[v]) for v in self]
+    def __getitem__(self, v):
+        nbrs = list.__getitem__(self, v)
+        self.reads[0] += 1 + len(nbrs)
+        return nbrs
+
+
+def _count_reads(monkeypatch, reads):
+    """Count the vertex ids handed out by Graph.vertices and Graph.slots."""
+
+    def counted(cls, name):
+        def read(self):
+            copy = cls(getattr(self, name))
+            copy.reads = reads
+            return copy
+
+        return property(read)
+
+    monkeypatch.setattr(Graph, "vertices", counted(_CountedIds, "_ids"))
+    monkeypatch.setattr(Graph, "slots", counted(_CountedSlots, "_slots"))
 
 
 def test_brooks_work_is_linear_in_many_components(monkeypatch):
@@ -705,17 +710,9 @@ def test_brooks_work_is_linear_in_many_components(monkeypatch):
     g = build_graph(6000, edges)
     lists = {v: frozenset({1, 2} if v <= 4000 else {1, 2, 3}) for v in g.vertices}
     read = [0]
-
-    def vertices(self):
-        ids = tuple(self._neighbors)
-        read[0] += len(ids)
-        return ids
-
-    monkeypatch.setattr(Graph, "vertices", property(vertices))
-    monkeypatch.setattr(Graph, "adjacency",
-                        property(lambda self: _CountedAdjacency(self._neighbors, read)))
+    _count_reads(monkeypatch, read)
     phi = brooks_list_color(g, lists)
-    # 21.3 n, where one pass over the graph reads n + 2m = 2.7 n; carving each
+    # 22.4 n, where one pass over the graph reads n + 2m = 2.7 n; carving each
     # of the 200 tight components out of the whole graph would add 200 n
     assert read[0] <= 40 * g.n, read[0]
     assert verify_coloring(g, lists, phi) is None
@@ -745,8 +742,8 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
         return real(tight, hole)
 
     monkeypatch.setattr(solver, "build_branch_pair", spy)
-    # vertex ids read through neighbors() and adjacency; a pass over this
-    # cubic graph reads 4 n to 6 n of them
+    # vertex ids read through neighbors(), vertices and slots; a pass over
+    # this cubic graph reads 4 n to 6 n of them
     reads = [0]
     neighbors = Graph.neighbors
 
@@ -756,16 +753,16 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
         return nbrs
 
     monkeypatch.setattr(Graph, "neighbors", counted)
-    monkeypatch.setattr(Graph, "adjacency",
-                        property(lambda self: _CountedAdjacency(self._neighbors, reads)))
+    _count_reads(monkeypatch, reads)
     lists = uniform_lists(g, 3)
     phi = brooks_list_color(g, lists)
     assert branch_picks == ["F", "F", "F", "F"]
     assert sizes == [2022, 2018, 2014, 2010]
-    # 26.4 n: 17 n for the input's list-against-degree scan (6 n), its
-    # components (5 n) and the final verification (6 n), 9 n to order (4 n)
-    # and color (5 n) the 2 000 vertices the last round frees, and 0.4 n for
-    # the four rounds' certificates, branch pairs and residual lists. A
-    # whole-graph pass in each of the four rounds would add 16 n.
+    # 28.4 n: 17 n for the input's list-against-degree scan (6 n), its
+    # components (5 n) and the final verification (6 n), 8 n to order (4 n)
+    # and color (4 n) the 2 000 vertices the last round frees, 2 n to hand
+    # the colors out as a dict, 1 n for uniform_lists, and 0.4 n for the four
+    # rounds' certificates, branch pairs and residual lists. A whole-graph
+    # pass in each of the four rounds would add 16 n.
     assert reads[0] <= 30 * g.n, reads[0]
     assert verify_coloring(g, lists, phi) is None
