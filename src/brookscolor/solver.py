@@ -161,7 +161,9 @@ def _first_failure(g: Graph, lists: ListAssignment,
             continue
         d = max(degrees)
         if d < 3:
-            detail = f"max degree {d} < 3 and some list is not longer than its vertex's degree"
+            short = [v for v, size, degree in zip(comp, sizes, degrees) if size < degree]
+            detail = (f"vertex {short[0]} has fewer colors than its degree" if short else
+                      f"max degree {d} < 3 and no list is longer than its vertex's degree")
         elif min(sizes) < d:
             short = next(v for v, size in zip(comp, sizes) if size < d)
             detail = f"vertex {short} has fewer than {d} colors"

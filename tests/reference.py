@@ -403,7 +403,10 @@ def component_refusal(g: Graph, lists, comp: tuple[int, ...]) -> str | None:
         return None
     d = max(degrees)
     if d < 3:
-        return f"max degree {d} < 3 and some list is not longer than its vertex's degree"
+        short = [v for v, size, degree in zip(comp, sizes, degrees) if size < degree]
+        if short:
+            return f"vertex {short[0]} has fewer colors than its degree"
+        return f"max degree {d} < 3 and no list is longer than its vertex's degree"
     short = [v for v, size in zip(comp, sizes) if size < d]
     if short:
         return f"vertex {short[0]} has fewer than {d} colors"
