@@ -117,8 +117,8 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
     Each vertex's neighbors are gathered in a list in its slot, then
     de-duplicated and sorted once, into a tuple that replaces the list.
     """
-    ids = list(range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else n_or_ids)
-    vertices = sorted(set(ids))
+    ids = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else list(n_or_ids)
+    vertices = ids if isinstance(ids, range) else sorted(set(ids))
     if vertices and not 0 <= vertices[0] <= vertices[-1] <= MAX_VERTICES:
         bad = next(v for v in ids if not 0 <= v <= MAX_VERTICES)
         raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {bad}")
