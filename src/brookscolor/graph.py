@@ -9,7 +9,8 @@ computation reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import filterfalse
+from itertools import filterfalse, islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 # Largest vertex id, and largest vertex count a problem line may declare:
@@ -117,11 +118,12 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
     Each vertex's neighbors are gathered in a list in its slot, then
     de-duplicated and sorted once, into a tuple that replaces the list.
     """
-    ids = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else list(n_or_ids)
-    vertices = ids if isinstance(ids, range) else sorted(set(ids))
+    vertices = range(1, n_or_ids + 1) if isinstance(n_or_ids, int) else sorted(n_or_ids)
     if vertices and not 0 <= vertices[0] <= vertices[-1] <= MAX_VERTICES:
-        bad = next(v for v in ids if not 0 <= v <= MAX_VERTICES)
+        bad = vertices[0] if vertices[0] < 0 else vertices[-1]
         raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {bad}")
+    if not all(map(lt, vertices, islice(vertices, 1, None))):  # an id repeats
+        vertices = sorted(set(vertices))
     size = vertices[-1] + 1 if vertices else 0
     gather: list = [None] * size
     for v in vertices:

@@ -570,10 +570,13 @@ def build_graph_sets(n_or_ids, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         ids: Iterable[int] = range(1, n_or_ids + 1)
     else:
         ids = n_or_ids
+    ids = list(ids)
+    bad = [v for v in ids if not 0 <= v <= MAX_VERTICES]
+    if bad:  # the smallest negative id, or else the largest
+        worst = min(bad) if min(bad) < 0 else max(bad)
+        raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {worst}")
     adjacency: dict[int, set[int]] = {}
     for v in ids:
-        if not 0 <= v <= MAX_VERTICES:
-            raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {v}")
         adjacency.setdefault(v, set())
     for u, v in edges:
         if u == v:
