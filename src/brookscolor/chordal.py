@@ -13,7 +13,7 @@ along the order.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations, compress, filterfalse
+from itertools import combinations, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
@@ -143,8 +143,7 @@ def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, list
     pos = [0] * len(slots)  # 1 + the position of each vertex that passed
     closed_sets: dict[int, frozenset[int]] = {}
     for v in order:
-        nbrs = slots[v]
-        earlier = list(compress(nbrs, map(pos.__getitem__, nbrs)))  # ascending
+        earlier = [u for u in slots[v] if pos[u]]  # ascending
         if len(earlier) > 1:
             anchor = max(earlier, key=pos.__getitem__)
             closed = closed_sets.get(anchor)

@@ -103,8 +103,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        ids = self._ids
-        return ids == other._ids and all(self._slots[v] == other._slots[v] for v in ids)
+        size = self._ids[-1] + 1 if self._ids else 0  # past it, slots hold only None
+        return self._ids == other._ids and self._slots[:size] == other._slots[:size]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
