@@ -252,8 +252,8 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
     else order must be a permutation of g's vertices, colored afresh.
     """
     slots = g.slots
-    public = colors is None
-    if public:
+    fresh = colors is None
+    if fresh:
         order = tuple(order)
         if len(order) != g.n or not set(order).issuperset(g.vertices):
             raise NotAPermutation("order must be a permutation of the graph's vertices")
@@ -270,4 +270,4 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
         if best is None:
             raise ListExhausted(v)
         colors[v] = best
-    return dict(zip(order, map(color_of, order))) if public else colors
+    return dict(zip(order, map(color_of, order))) if fresh else colors

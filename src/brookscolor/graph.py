@@ -151,7 +151,8 @@ def max_degree(g: Graph) -> int:
 
 def connected_components(g: Graph, seen: list[bool] | None = None) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted id tuples, ordered by smallest id; given
-    `seen`, marks by id, only those of the unmarked vertices, marking them."""
+    `seen`, marks by id, those of the unmarked vertices' subgraph, marked as
+    they are found."""
     slots = g.slots
     if seen is None:
         seen = [False] * len(slots)

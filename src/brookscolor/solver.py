@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, filterfalse, product
 from operator import ge, sub
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .chordal import (
     Coloring,
@@ -335,11 +335,12 @@ def _slack_order(g: Graph, roots: list[int]) -> tuple[list[int], list[bool]]:
     return order, seen
 
 
-def _color_tight(g: Graph, lists: Sequence[frozenset[int]], colors: list[int | None]) -> None:
+def _color_tight(g: Graph, lists: ListAssignment, colors: list[int | None]) -> None:
     # g is a connected component without slack that satisfies (b): D-regular,
-    # lists of exactly D colors, not complete. Each round greedily colors the
-    # branch's components with slack, whose roots neighbor a deleted hole
-    # vertex. rounds holds each round's tight graph and hole, outermost first.
+    # lists of exactly D colors, not complete; lists, like colors, are read
+    # by id. Each round greedily colors the branch's components with slack,
+    # whose roots neighbor a deleted hole vertex. rounds holds each round's
+    # tight graph and hole, outermost first.
     rounds: list[tuple[Graph, Hole]] = []
     while g.n:
         hole = chordality_certificate(g).hole
