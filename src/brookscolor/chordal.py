@@ -74,7 +74,8 @@ class ChordalityCertificate:
 
 def uniform_lists(g: Graph, k: int) -> ListAssignment:
     """Every vertex gets the list {1, ..., k}."""
-    return dict.fromkeys(g.vertices, frozenset(range(1, k + 1)))
+    colors = frozenset(range(1, k + 1))
+    return {v: colors for v in g.vertices}
 
 
 def _mcs(g: Graph) -> Iterator[int]:
@@ -246,10 +247,9 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
     along a perfect elimination ordering with lists of size >= clique number,
     and in any order when every list exceeds the vertex's degree.
 
-    lists maps each vertex to its list, by dict or by a list indexed by id.
-    Given `colors`, a list by id (None: uncolored) that the solver's passes
-    share, order extends it in place, trusted to name uncolored vertices of g;
-    else order must be a permutation of g's vertices, colored afresh.
+    lists is a dict or a list by id. Given `colors`, the solver's shared list by
+    id (None: uncolored), order extends it in place, trusted to name uncolored
+    vertices of g; else order must be a permutation of g's vertices.
     """
     slots = g.slots
     fresh = colors is None

@@ -312,7 +312,6 @@ def generate(config: GeneratorConfig) -> tuple[Graph, ListAssignment]:
     for u, v in edges:
         slots[u].append(ids[v])
         slots[v].append(ids[u])
-    slots = [None, *map(tuple, map(sorted, slots[1:]))]
-    g = Graph(slots, tuple(ids[1:]))
+    g = Graph([None, *map(tuple, map(sorted, slots[1:]))], tuple(ids[1:]))
     del edges, slots, ids  # freed before the lists are drawn: a lower peak
     return g, _draw_lists(g.vertices, config.palette, config.list_size, draw)

@@ -13,8 +13,8 @@ from itertools import filterfalse, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
-# Largest vertex id, and largest vertex count a problem line may declare:
-# every pass sizes its per-vertex arrays by the largest id.
+# Largest vertex id and problem-line vertex count: every pass sizes its arrays
+# by the largest id, so a larger header is refused before any edge is read.
 MAX_VERTICES = 1_000_000
 
 
@@ -111,9 +111,8 @@ class Graph:
 
 
 def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Build a graph from a vertex-id collection (or a count n, meaning 1..n)
-    and unordered edge pairs. Duplicate edges collapse silently. Ids must lie
-    in 0..MAX_VERTICES.
+    """Build a graph from vertex ids in 0..MAX_VERTICES (or a count n, meaning
+    1..n) and unordered edge pairs. Duplicate edges collapse silently.
 
     Each vertex's neighbors are gathered in a list in its slot, then
     de-duplicated and sorted once, into a tuple that replaces the list.
@@ -124,8 +123,7 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
         raise UnknownVertex(f"vertex ids must be in 0..{MAX_VERTICES}, got {bad}")
     if not all(map(lt, vertices, islice(vertices, 1, None))):  # an id repeats
         vertices = sorted(set(vertices))
-    size = vertices[-1] + 1 if vertices else 0
-    gather: list = [None] * size
+    gather: list = [None] * (vertices[-1] + 1 if vertices else 0)
     for v in vertices:
         gather[v] = []
     for u, v in edges:
@@ -137,7 +135,7 @@ def build_graph(n_or_ids: int | Iterable[int], edges: Iterable[tuple[int, int]] 
             gather[u].append(v)
             gather[v].append(u)
         except (AttributeError, IndexError):  # None or no slot: not a vertex
-            unknown = v if 0 <= u < size and gather[u] is not None else u
+            unknown = v if 0 <= u < len(gather) and gather[u] is not None else u
             raise UnknownVertex(f"edge endpoint {unknown} is not a declared vertex") from None
     for v in vertices:
         gather[v] = tuple(sorted(set(gather[v])))
@@ -150,9 +148,8 @@ def max_degree(g: Graph) -> int:
 
 
 def connected_components(g: Graph, seen: list[bool] | None = None) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted id tuples, ordered by smallest id; given
-    `seen`, marks by id, those of the unmarked vertices' subgraph, marked as
-    they are found."""
+    """Connected components as sorted id tuples, ordered by smallest id. Given
+    `seen` (marks by id), only unmarked vertices are searched, and marked."""
     slots = g.slots
     if seen is None:
         seen = [False] * len(slots)
@@ -191,10 +188,10 @@ def surgery(
 
     Surviving vertices keep their ids, so the original graph and any number
     of derived graphs can be used side by side. Cost: C-level copies of g's
-    slot list, which shares every neighbor tuple, and of its id tuple, plus
-    Python work only for what the surgery touches: the deleted vertices'
-    neighbor tuples and the rebuilt tuples of their surviving neighbors and
-    of the added edges' endpoints.
+    slot list, sharing every neighbor tuple, and of its ids, plus Python work
+    only for what the surgery touches: the deleted vertices' neighbor tuples
+    and the rebuilt tuples of their surviving neighbors and of the added
+    edges' endpoints.
     """
     doomed = frozenset(delete)
     for v in doomed:
@@ -226,10 +223,9 @@ def surgery(
 
 
 def _closed_part(g: Graph, part: Sequence[int]) -> Graph:
-    """The subgraph of g on part, an ascending vertex tuple that no edge
-    leaves (a union of components), with part[i] renamed i. Renaming keeps
-    every ascending-id order, and the new graph's arrays are sized by its own
-    n, not by g's largest id."""
+    """The subgraph of g on part, an ascending vertex tuple no edge leaves (a
+    union of components), part[i] renamed i: every ascending-id order holds,
+    and its arrays are sized by its own n, not by g's largest id."""
     ids = tuple(range(len(part)))
     rank = dict(zip(part, ids))
     slots = g.slots

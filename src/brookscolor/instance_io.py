@@ -10,9 +10,6 @@ from __future__ import annotations
 from .chordal import Coloring, ListAssignment
 from .graph import MAX_VERTICES, Graph, UnknownVertex, build_graph
 
-# MAX_VERTICES bounds a problem line's vertex count too: every declared
-# vertex is allocated, so a larger header is refused before any edge is read.
-
 # The generator models and their refusal live here, beside the shared vertex
 # cap, so the CLI's `--model` choices and error handling do not load
 # generate.py; that module re-exports both.
@@ -181,4 +178,4 @@ def parse_coloring(text: str) -> Coloring:
 
 def emit_coloring(phi: Coloring) -> str:
     """Render a coloring as ``v id color`` lines, ascending by id."""
-    return "".join([f"v {v} {phi[v]}\n" for v in sorted(phi)])
+    return "".join(f"v {v} {phi[v]}\n" for v in sorted(phi))

@@ -40,7 +40,8 @@ def verify_coloring(g: Graph, lists: ListAssignment | None,
     Vertices are scanned ascending; at each vertex the list check precedes the
     checks of its edges toward larger neighbor ids. Pass lists=None to check
     properness only. phi may also be a list indexed by id, as the solver keeps
-    it; an uncolored vertex's None then fails its list check.
+    it. An uncolored vertex's None then fails its list check; with lists=None,
+    or in a list too short for the largest id, it raises IncompleteColoring.
     """
     ids = g.vertices
     slots = g.slots
@@ -51,6 +52,8 @@ def verify_coloring(g: Graph, lists: ListAssignment | None,
         if len(phi) != len(ids):
             extra = sorted(phi.keys() - set(ids))
             raise IncompleteColoring(f"colors assigned outside the graph: {extra[:5]}")
+    elif ids and (len(phi) <= ids[-1] or lists is None and None in map(phi.__getitem__, ids)):
+        raise IncompleteColoring("some vertex has no color")
     for v in ids:
         color = phi[v]
         if lists is not None and color not in lists[v]:

@@ -129,12 +129,11 @@ def _check_hypotheses(
     # the search leaves, or on all of g to refuse a list shorter than its
     # degree.
     ids = g.vertices
-    slots = g.slots
     try:
         sizes = list(map(len, map(lists.__getitem__, ids)))
     except KeyError:
         raise MissingList(next(filterfalse(lists.__contains__, ids))) from None
-    excess = list(map(sub, sizes, map(len, map(slots.__getitem__, ids))))
+    excess = list(map(sub, sizes, map(len, map(g.slots.__getitem__, ids))))
     if min(excess, default=0) < 0:
         return _first_failure(g, lists, connected_components(g)), [], ()
     order, seen = _slack_order(g, list(compress(ids, excess)))
@@ -153,10 +152,9 @@ def _check_hypotheses(
 def _first_failure(g: Graph, lists: ListAssignment,
                    parts: tuple[tuple[int, ...], ...]) -> HypothesisReport:
     # The first of parts that passes neither (a) nor (b), or an ok report.
-    slots = g.slots
     for comp in parts:
         sizes = [len(lists[v]) for v in comp]
-        degrees = [len(slots[v]) for v in comp]
+        degrees = list(map(len, map(g.slots.__getitem__, comp)))
         if sizes != degrees and all(map(ge, sizes, degrees)):
             continue
         d = max(degrees)
@@ -337,10 +335,9 @@ def _slack_order(g: Graph, roots: list[int]) -> tuple[list[int], list[bool]]:
 
 def _color_tight(g: Graph, lists: ListAssignment, colors: list[int | None]) -> None:
     # g is a connected component without slack that satisfies (b): D-regular,
-    # lists of exactly D colors, not complete; lists, like colors, are read
-    # by id. Each round greedily colors the branch's components with slack,
-    # whose roots neighbor a deleted hole vertex. rounds holds each round's
-    # tight graph and hole, outermost first.
+    # lists of exactly D colors (read by id, as colors are), not complete. Each
+    # round greedily colors the branch's components with slack, rooted beside
+    # the deleted hole; rounds holds each round's graph and hole, outermost first.
     rounds: list[tuple[Graph, Hole]] = []
     while g.n:
         hole = chordality_certificate(g).hole

@@ -283,6 +283,7 @@ def test_derived_graphs_share_key_objects():
     assert hole is not None and len(hole.cycle) == 500
     pair = build_branch_pair(g, hole)
     for derived in (pair.f_graph, pair.h_graph,
-                    surgery(g, delete=g.vertices[:3]),
-                    _closed_part(pair.f_graph, connected_components(pair.f_graph)[0])):
+                    surgery(g, delete=ring[:3]),
+                    # the ring's component, renamed 0..501
+                    _closed_part(g, max(connected_components(g), key=len))):
         assert _shares_keys(derived)

@@ -50,6 +50,24 @@ def test_verify_requires_full_domain():
         verify_coloring(g, None, {1: 1, 2: 2, 9: 1})
 
 
+def test_verify_list_by_id_requires_every_vertex():
+    # the solver's form: colors in a list indexed by id, None where uncolored
+    p3 = path_graph(3)
+    lists = uniform_lists(p3, 2)
+    assert verify_coloring(p3, lists, [None, 1, 2, 1]) is None
+    assert verify_coloring(p3, lists, [None, None, 2, 1]) == Defect(kind="color-not-in-list",
+                                                                     vertex=1)
+    for phi in ([None, None, 2, 1], [None, 1, 2, None]):
+        with pytest.raises(IncompleteColoring):
+            verify_coloring(p3, None, phi)
+    for short in ([None, 1, 2], []):
+        with pytest.raises(IncompleteColoring):
+            verify_coloring(p3, lists, short)
+        with pytest.raises(IncompleteColoring):
+            verify_coloring(p3, None, short)
+    assert verify_coloring(build_graph((), []), None, []) is None
+
+
 def test_brute_force_triangle_two_colors_unsat():
     k3 = complete_graph(3)
     assert brute_force_list_color(k3, uniform_lists(k3, 2)) is OracleOutcome.UNSATISFIABLE
