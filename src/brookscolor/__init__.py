@@ -4,10 +4,10 @@ Vertices with slack, and all vertices they reach, are colored greedily; the
 rest is handled by branching on holes. All certificates (elimination orders,
 holes, colorings) are independently checkable.
 
-The seeded generators (``GeneratorConfig``, ``SplitMix64``, ``generate``,
-``random_lists``) load on first access, so importing the package, or running
-``color`` and ``chordal``, does not compile ``generate.py``. The package's
-``generate`` is the function however the submodule of that name is first
+The public names of ``generate``, ``solver`` and ``oracle`` load on first
+access (PEP 562): importing the package compiles ``graph``, ``chordal`` and
+``instance_io`` alone, and each CLI command only the modules it runs. The
+package's ``generate`` is the function however its submodule is first
 imported; the module itself is ``sys.modules["brookscolor.generate"]``.
 """
 
@@ -53,41 +53,33 @@ from .instance_io import (
     parse_coloring,
     parse_instance,
 )
-from .oracle import (
-    Defect,
-    IncompleteColoring,
-    OracleOutcome,
-    brute_force_list_color,
-    verify_coloring,
-)
-from .solver import (
-    BothBranchesBlocked,
-    BranchPair,
-    HypothesisReport,
-    HypothesisViolation,
-    InvalidHole,
-    MissingList,
-    NoStartPair,
-    ResidualTooSmall,
-    brooks_list_color,
-    build_branch_pair,
-    check_hypotheses,
-    extend_around_cycle,
-    residual_lists,
-    select_branch,
-)
 
 __version__ = "0.1.0"
 
-_GENERATORS = frozenset({"GeneratorConfig", "SplitMix64", "generate", "random_lists"})
+# name -> submodule for the names served on first access (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("generate", "GeneratorConfig SplitMix64 generate random_lists"),
+    ("oracle", "Defect IncompleteColoring OracleOutcome brute_force_list_color verify_coloring"),
+    ("solver", "BothBranchesBlocked BranchPair HypothesisReport HypothesisViolation InvalidHole"
+               " MissingList NoStartPair ResidualTooSmall brooks_list_color build_branch_pair"
+               " check_hypotheses extend_around_cycle residual_lists select_branch"),
+) for name in names.split()}
+
+# the public names: those imported above, then those served on first access
+__all__ = [name for name, value in globals().items() if name[0] != "_"
+           and not isinstance(value, ModuleType) and name != "ModuleType"] + [*_LAZY]
 
 
 def __getattr__(name: str):
-    if name in _GENERATORS:
-        module = f"{__name__}.generate"
+    if name in _LAZY:
+        module = f"{__name__}.{_LAZY[name]}"
         __import__(module)
         return getattr(sys.modules[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 
 class _Package(ModuleType):

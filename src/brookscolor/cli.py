@@ -8,7 +8,6 @@ Exit codes: 0 success; 1 hole found (chordal) or a failed seed (seedrun);
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import TYPE_CHECKING
 
@@ -16,12 +15,12 @@ from .chordal import chordality_certificate, uniform_lists
 from .graph import GraphError, max_degree
 from .instance_io import (MAX_VERTICES, MODELS, InfeasibleConfig, ParseError, emit_coloring,
                           emit_instance, parse_coloring, parse_instance)
-from .oracle import IncompleteColoring, OracleOutcome, brute_force_list_color, verify_coloring
-from .solver import HypothesisViolation, brooks_list_color
 
-# gen and seedrun import the generators where they run, so that color and
-# chordal never compile generate.py
+# each command imports the generators, the solver and the oracle where it
+# runs them, so that chordal compiles none of them and color no generators
 if TYPE_CHECKING:
+    import argparse
+
     from .generate import GeneratorConfig
 
 EXIT_OK = 0
@@ -39,13 +38,14 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message)
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="brookscolor", description=__doc__)
+    parser = Parser(prog="brookscolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     gen_opts = argparse.ArgumentParser(add_help=False)
@@ -112,6 +112,7 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     if count < 1:
         raise _UsageError("seedrun needs a positive instance count")
     from .generate import generate
+    from .solver import HypothesisViolation, brooks_list_color
 
     config = _config_from_args(args)
     # seed by seed, so a batch holds one instance in memory at a time
@@ -141,6 +142,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     # costs memory
     if args.uniform is not None and not 0 <= args.uniform <= MAX_VERTICES:
         raise _UsageError(f"--uniform K must lie in 0..{MAX_VERTICES}")
+    from .solver import HypothesisViolation, brooks_list_color
+
     g, lists = parse_instance(_read(args.file))
     if args.uniform is not None:
         # with K > max degree every vertex has slack and the greedy gives it a
@@ -158,6 +161,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import IncompleteColoring, verify_coloring
+
     g, lists = parse_instance(_read(args.file))
     phi = parse_coloring(_read(args.coloring_file))
     try:
@@ -175,6 +180,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must not be negative")
+    from .oracle import OracleOutcome, brute_force_list_color
+
     g, lists = parse_instance(_read(args.file))
     if lists is None:
         raise _UsageError("oracle needs an instance with 'l' color-list lines")
@@ -198,6 +205,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if (sys.argv[1:] if argv is None else argv)[:1] in (["color"], ["seedrun"]):
+        # compile the solver before argparse loads, so the two do not stack in peak memory
+        from . import solver  # noqa: F401
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -221,6 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, GraphError, UnicodeDecodeError) as exc:
         print(f"bad input data: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def __getattr__(name: str):
+    # bench/tracing.py wraps this name; the commands import the solver's as they run
+    if name != "brooks_list_color":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .solver import brooks_list_color
+    return brooks_list_color
 
 
 def entrypoint() -> None:

@@ -58,4 +58,9 @@ def test_every_trace_wrapper_is_entered(tracing, tmp_path, capsys):
             assert library.counts[name], (module, attr)
     for count in ("hole_vertices", "branch_f", "branch_h", "surgery_vertices", "find_hole_hits"):
         assert library.counts[count], count
+    # the color command opens one solve span, outermost, and none nested in
+    # it: the per-layer metrics read solver.calls 1 and solver.max_depth 1
+    solves = [span for span in front.spans if span[0] == "solver.brooks_list_color"]
+    assert len(solves) == 1 and solves[0][3] == -1
+    assert front.summary()[4] == 1
     assert solver.surgery is graph.surgery  # the patches are undone on exit

@@ -226,7 +226,7 @@ def test_seedrun_reports_counts(capsys):
 
 def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeypatch):
     events = []
-    real_generate, real_color = gen_mod.generate, cli.brooks_list_color
+    real_generate, real_color = gen_mod.generate, solver.brooks_list_color
 
     def generate(config):
         events.append("generate")
@@ -238,7 +238,7 @@ def test_seedrun_colors_each_instance_before_generating_the_next(capsys, monkeyp
         return real_color(g, lists)
 
     monkeypatch.setattr(gen_mod, "generate", generate)
-    monkeypatch.setattr(cli, "brooks_list_color", color)
+    monkeypatch.setattr(solver, "brooks_list_color", color)
     code, out, _ = run(capsys, ["seedrun", "5", "--n", "12", "--delta", "3", "--seed", "1"])
     assert code == 0 and out.splitlines()[-1] == "pass 5 fail 0"
     assert events.count("color") == 5
@@ -279,7 +279,7 @@ def test_seedrun_names_the_exception_of_a_failed_seed(capsys, monkeypatch):
     def broken(g, lists):
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(cli, "brooks_list_color", broken)
+    monkeypatch.setattr(solver, "brooks_list_color", broken)
     code, out, _ = run(capsys, ["seedrun", "2", "--n", "12", "--delta", "3", "--seed", "1"])
     lines = out.splitlines()
     assert code == 1
@@ -434,6 +434,38 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     assert out[0] == "[]"
     assert out[-2] == "0 1 []"  # Petersen is colored, and has a hole
     assert out[-1] == "['brookscolor.generate'] 0"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys):
+    # chordal compiles neither the solver nor the oracle; verify and oracle
+    # compile the oracle alone
+    g = petersen_graph()
+    instance, coloring = tmp_path / "petersen.col", tmp_path / "petersen.out"
+    instance.write_text(emit_instance(g, uniform_lists(g, 3)))
+    coloring.write_text(run(capsys, ["color", str(instance)])[1])
+    code = ("import sys, brookscolor.cli as cli; code = cli.main(sys.argv[1:]); print(code, sorted("
+            "{'brookscolor.generate', 'brookscolor.oracle', 'brookscolor.solver'} & set(sys.modules)))")
+    expected = {
+        ("chordal", instance): "1 []",
+        ("gen", "--n", "5"): "0 ['brookscolor.generate']",
+        ("verify", instance, coloring): "0 ['brookscolor.oracle']",
+        ("oracle", instance): "0 ['brookscolor.oracle']",
+        ("color", instance): "0 ['brookscolor.oracle', 'brookscolor.solver']",
+        ("seedrun", "1", "--n", "8", "--delta", "3"):
+            "0 ['brookscolor.generate', 'brookscolor.oracle', 'brookscolor.solver']",
+    }
+    for argv, loaded in expected.items():
+        assert _fresh_child(code, *map(str, argv)).splitlines()[-1] == loaded, argv
+
+
+def test_star_import_and_dir_list_the_names_served_on_first_access():
+    code = ("import brookscolor; listed = set(dir(brookscolor)); from brookscolor import *; "
+            "names = brookscolor.__all__; "
+            "print(len(names) == len(set(names)), sorted(set(names) - set(globals())), "
+            "sorted(set(names) - listed), sorted({'GeneratorConfig', 'SplitMix64', 'generate', "
+            "'brooks_list_color', 'verify_coloring', 'build_graph', 'MODELS'} - set(names)), "
+            "sorted({'sys', 'ModuleType', 'graph', 'solver', '__version__'} & set(names)))")
+    assert _fresh_child(code) == "True [] [] [] []\n"
 
 
 _GENERATOR_NAMES = ("MODELS", "GeneratorConfig", "InfeasibleConfig", "SplitMix64", "generate",
