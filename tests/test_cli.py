@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import os
@@ -486,6 +487,84 @@ def test_package_generate_stays_the_function(first):
             f"print(callable(brookscolor.generate), g.n, len(lists), "
             f"[getattr(brookscolor, name) is getattr(module, name) for name in {_GENERATOR_NAMES}])")
     assert _fresh_child(code) == f"True 6 6 {[True] * 6}\n"
+
+
+def _entry_point(*argv, stdout=subprocess.PIPE):
+    # `python -m brookscolor` as users run it, site-packages on, with the
+    # source tree first on the path; the default stdout buffering, so a
+    # closed pipe shows as an error, not as a short write
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "brookscolor", *map(str, argv)], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.fixture(scope="module")
+def large_file(tmp_path_factory):
+    # its coloring is several times a pipe's 64 KiB buffer
+    path = tmp_path_factory.mktemp("large") / "large.col"
+    config = GeneratorConfig(n=30_000, delta=4, seed=1, palette=8, list_size=4)
+    path.write_text(emit_instance(*generate(config)))
+    return path
+
+
+def test_entry_point_matches_main(capsys, tmp_path, c5_file, large_file):
+    # one argv per exit code; the child freezes the collector before it
+    # exits, and must still print what main prints, whole, and exit with
+    # its code
+    k4, p2, bad, bad_data = (tmp_path / name for name in ("k4.col", "p2.col", "bad.out",
+                                                          "bad.col"))
+    k4.write_text(emit_instance(complete_graph(4)))
+    p2.write_text(emit_instance(path_graph(2)))
+    bad.write_text("v 1 1\nv 2 1\n")
+    bad_data.write_text("p edge 2 1\ne 1 1\n")
+    expected_codes = {
+        ("color", large_file): 0,
+        ("chordal", c5_file): 1,
+        ("color", k4, "--uniform", "3"): 2,
+        ("verify", p2, bad): 3,
+        ("color",): 64,
+        ("chordal", bad_data): 65,
+    }
+    frozen = gc.get_freeze_count()
+    for argv, expected in expected_codes.items():
+        child = _entry_point(*argv)
+        out, err = child.communicate(timeout=120)
+        in_process = run(capsys, list(map(str, argv)))
+        assert (child.returncode, out, err) == in_process, argv
+        assert in_process[0] == expected, argv
+    assert gc.get_freeze_count() == frozen  # main never freezes the collector
+
+
+def test_entrypoint_freezes_the_collector_after_the_command(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 3 and calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("command", ["color", "chordal"])
+def test_closed_stdout_is_an_output_error(command, large_file, c5_file):
+    # color's output outgrows the pipe, so a write after the first line
+    # meets the closed pipe; chordal's one line waits in the buffer for the
+    # flush, into a pipe closed before the child starts
+    if command == "color":
+        child = _entry_point("color", large_file)
+        assert child.stdout.readline().startswith("v ")
+        child.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        child = _entry_point("chordal", c5_file, stdout=write_end)
+        os.close(write_end)
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 64
+    assert err == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def _cli_digests(capsys, tmp_path):
