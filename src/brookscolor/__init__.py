@@ -4,60 +4,29 @@ Vertices with slack, and all vertices they reach, are colored greedily; the
 rest is handled by branching on holes. All certificates (elimination orders,
 holes, colorings) are independently checkable.
 
-The public names of ``generate``, ``solver`` and ``oracle`` load on first
-access (PEP 562): importing the package compiles ``graph``, ``chordal`` and
-``instance_io`` alone, and each CLI command only the modules it runs. The
-package's ``generate`` is the function however its submodule is first
-imported; the module itself is ``sys.modules["brookscolor.generate"]``.
+Every public name loads its submodule on first access (PEP 562) and is then
+bound on the package: ``import brookscolor`` loads no submodule, and each CLI
+command only the modules it runs. Submodules are reached by importing them
+(``import brookscolor.graph``). The package's ``generate`` is the function
+however its submodule is first imported; the module itself is
+``sys.modules["brookscolor.generate"]``.
 """
 
 import sys
 from types import ModuleType
 
-from .chordal import (
-    ChordalityCertificate,
-    Coloring,
-    Hole,
-    InternalInvariantBroken,
-    ListAssignment,
-    ListExhausted,
-    NotAPermutation,
-    PeoViolation,
-    PreconditionBreach,
-    chordality_certificate,
-    find_hole_from_witness,
-    greedy_color_along,
-    mcs_order,
-    uniform_lists,
-    verify_peo,
-)
-from .graph import (
-    EndpointDeleted,
-    Graph,
-    GraphError,
-    SelfLoop,
-    UnknownVertex,
-    build_graph,
-    connected_components,
-    is_complete,
-    max_degree,
-    surgery,
-)
-from .instance_io import (
-    MODELS,
-    DuplicateListLine,
-    InfeasibleConfig,
-    ParseError,
-    emit_coloring,
-    emit_instance,
-    parse_coloring,
-    parse_instance,
-)
-
 __version__ = "0.1.0"
 
-# name -> submodule for the names served on first access (PEP 562)
+# public name -> the submodule that defines it
 _LAZY = {name: module for module, names in (
+    ("chordal", "ChordalityCertificate Coloring Hole InternalInvariantBroken ListAssignment"
+                " ListExhausted NotAPermutation PeoViolation PreconditionBreach"
+                " chordality_certificate find_hole_from_witness greedy_color_along mcs_order"
+                " uniform_lists verify_peo"),
+    ("graph", "EndpointDeleted Graph GraphError SelfLoop UnknownVertex build_graph"
+              " connected_components is_complete max_degree surgery"),
+    ("instance_io", "MODELS DuplicateListLine InfeasibleConfig ParseError emit_coloring"
+                    " emit_instance parse_coloring parse_instance"),
     ("generate", "GeneratorConfig SplitMix64 generate random_lists"),
     ("oracle", "Defect IncompleteColoring OracleOutcome brute_force_list_color verify_coloring"),
     ("solver", "BothBranchesBlocked BranchPair HypothesisReport HypothesisViolation InvalidHole"
@@ -65,17 +34,17 @@ _LAZY = {name: module for module, names in (
                " check_hypotheses extend_around_cycle residual_lists select_branch"),
 ) for name in names.split()}
 
-# the public names: those imported above, then those served on first access
-__all__ = [name for name, value in globals().items() if name[0] != "_"
-           and not isinstance(value, ModuleType) and name != "ModuleType"] + [*_LAZY]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        module = f"{__name__}.{_LAZY[name]}"
-        __import__(module)
-        return getattr(sys.modules[module], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_LAZY[name]}"
+    __import__(module)
+    # bound here, so later reads are plain attribute reads
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
 
 
 def __dir__() -> list[str]:

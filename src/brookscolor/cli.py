@@ -9,6 +9,7 @@ Exit codes: 0 success; 1 hole found (chordal) or a failed seed (seedrun);
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -89,6 +90,21 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _write(text: str) -> None:
+    # Under `python -u` the text layer writes straight to the raw file and
+    # drops the count of a short write (the reader left mid-write), so write
+    # what is left until a closed pipe raises; 8192 characters at a time, so
+    # that no encoded copy of the whole text is held.
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    for start in range(0, len(text), 8192):
+        data = memoryview(text[start:start + 8192].encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[raw.write(data):]
+
+
 def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
     from .generate import GeneratorConfig
 
@@ -158,7 +174,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    sys.stdout.write(emit_coloring(phi))
+    _write(emit_coloring(phi))
     return EXIT_OK
 
 
@@ -194,7 +210,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if result is OracleOutcome.LIMIT_EXCEEDED:
         print("limit-exceeded")
         return EXIT_LIMIT
-    sys.stdout.write(emit_coloring(result))
+    _write(emit_coloring(result))
     return EXIT_OK
 
 
@@ -202,7 +218,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from .generate import generate
 
     text = emit_instance(*generate(_config_from_args(args)))  # the graph is freed before the write
-    sys.stdout.write(text)
+    _write(text)
     return EXIT_OK
 
 

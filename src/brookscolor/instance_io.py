@@ -32,15 +32,6 @@ class DuplicateListLine(ParseError):
     """A vertex received more than one ``l`` line."""
 
 
-class _ColorLists(dict):
-    """Color lists keyed by their tokens joined with single spaces, so that
-    equal ``l`` lines share one frozenset and convert their tokens once."""
-
-    def __missing__(self, key: str) -> frozenset[int]:
-        colors = self[key] = frozenset(map(int, key.split()))
-        return colors
-
-
 def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     """Parse an instance file into a graph and, if ``l`` lines occur, lists.
 
@@ -76,8 +67,9 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     us: list[int] = []
     vs: list[int] = []
     by_id: list[frozenset[int] | None] = [None] * (n + 1)
-    listed = 0
-    color_lists = _ColorLists()
+    # keyed by the tokens joined with single spaces, so that equal l lines
+    # share one frozenset and convert their tokens once
+    color_lists: dict[str, frozenset[int]] = {}
     for line_no, raw in lines:
         tokens = raw.split()
         if not tokens:
@@ -102,9 +94,12 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
         elif kind == "l":
             if len(tokens) < 2:
                 raise ParseError(line_no, "list line must be 'l <v> <colors...>'")
+            key = " ".join(tokens[2:])
             try:
                 v = int(tokens[1])
-                colors = color_lists[" ".join(tokens[2:])]
+                colors = color_lists.get(key)
+                if colors is None:
+                    colors = color_lists[key] = frozenset(map(int, tokens[2:]))
             except ValueError:
                 raise ParseError(line_no, "list entries must be integers") from None
             if not 1 <= v <= n:
@@ -112,7 +107,6 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
             if by_id[v] is not None:
                 raise DuplicateListLine(line_no, f"second list line for vertex {v}")
             by_id[v] = colors
-            listed += 1
         elif kind == "p":
             raise ParseError(line_no, "duplicate problem line")
         elif kind != "c":
@@ -120,10 +114,10 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     del ids[0]
     g = build_graph(ids, zip(us, vs))
     del ids, us, vs  # freed before the lists dict is built: a lower peak
-    if not listed:
+    if not color_lists:  # no l line
         return g, None
     del by_id[0]
-    if listed < n:
+    if None in by_id:
         empty: frozenset[int] = frozenset()
         by_id = [empty if colors is None else colors for colors in by_id]
     return g, dict(zip(g.vertices, by_id))

@@ -460,6 +460,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys):
 
 
 def test_star_import_and_dir_list_the_names_served_on_first_access():
+    # importing the package loads no submodule; a name read once is bound on
+    # the package, and a name outside the table is no attribute
+    code = ("import sys, brookscolor; "
+            "print(sorted(m for m in sys.modules if m.startswith('brookscolor.'))); "
+            "brookscolor.brooks_list_color; print('brooks_list_color' in vars(brookscolor)); "
+            "print(hasattr(brookscolor, 'no_such_name'))")
+    assert _fresh_child(code) == "[]\nTrue\nFalse\n"
     code = ("import brookscolor; listed = set(dir(brookscolor)); from brookscolor import *; "
             "names = brookscolor.__all__; "
             "print(len(names) == len(set(names)), sorted(set(names) - set(globals())), "
@@ -489,14 +496,16 @@ def test_package_generate_stays_the_function(first):
     assert _fresh_child(code) == f"True 6 6 {[True] * 6}\n"
 
 
-def _entry_point(*argv, stdout=subprocess.PIPE):
+def _entry_point(*argv, stdout=subprocess.PIPE, unbuffered=False):
     # `python -m brookscolor` as users run it, site-packages on, with the
-    # source tree first on the path; the default stdout buffering, so a
-    # closed pipe shows as an error, not as a short write
+    # source tree first on the path; stdout buffered by default, or written
+    # straight through to the file as under `python -u`
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "brookscolor", *map(str, argv)], env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
@@ -547,19 +556,22 @@ def test_entrypoint_freezes_the_collector_after_the_command(monkeypatch):
     assert exited.value.code == 3 and calls == ["main", "freeze"]
 
 
-@pytest.mark.parametrize("command", ["color", "chordal"])
-def test_closed_stdout_is_an_output_error(command, large_file, c5_file):
+@pytest.mark.parametrize("command, unbuffered",
+                         [("color", False), ("chordal", False), ("color", True), ("chordal", True)],
+                         ids=["color", "chordal", "color-unbuffered", "chordal-unbuffered"])
+def test_closed_stdout_is_an_output_error(command, unbuffered, large_file, c5_file):
     # color's output outgrows the pipe, so a write after the first line
-    # meets the closed pipe; chordal's one line waits in the buffer for the
-    # flush, into a pipe closed before the child starts
+    # meets the closed pipe, buffered or not; chordal's one line waits in the
+    # buffer for the flush (unbuffered, it is written at once), into a pipe
+    # closed before the child starts
     if command == "color":
-        child = _entry_point("color", large_file)
+        child = _entry_point("color", large_file, unbuffered=unbuffered)
         assert child.stdout.readline().startswith("v ")
         child.stdout.close()
     else:
         read_end, write_end = os.pipe()
         os.close(read_end)
-        child = _entry_point("chordal", c5_file, stdout=write_end)
+        child = _entry_point("chordal", c5_file, stdout=write_end, unbuffered=unbuffered)
         os.close(write_end)
     err = child.stderr.read()
     child.stderr.close()

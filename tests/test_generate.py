@@ -96,6 +96,8 @@ def test_infeasible_configs(no_list_draws):
     with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=5, delta=0))
     with pytest.raises(InfeasibleConfig):
+        generate(GeneratorConfig(n=5, delta=-1))
+    with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=3, delta=1, model="tree-plus-edges"))
     with pytest.raises(InfeasibleConfig):
         generate(GeneratorConfig(n=3, delta=1, model="chordal-simplicial"))

@@ -43,6 +43,8 @@ def test_build_single_isolated_vertex():
 def test_build_collapses_duplicate_edges():
     g = build_graph({1, 2}, [(1, 2), (2, 1)])
     assert g.m == 1
+    g = build_graph([2, 1, 2], [(1, 2)])  # a repeated id counts once
+    assert g.vertices == (1, 2) and g.m == 1
 
 
 def test_build_from_count_uses_one_based_ids():

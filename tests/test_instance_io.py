@@ -66,6 +66,8 @@ def test_parse_errors_cover_malformed_lines():
         "p edge 2 0\ne 1\n",    # short edge line
         "p edge 2 0\ne 1 x\n",  # non-integer
         "p edge 2 0\nl\n",      # list line without a vertex
+        "p edge 2 0\nl 1 x\n",  # non-integer color
+        "p edge x 0\n",         # non-integer count
         "p edge -1 0\n",        # negative vertex count
         "p edge 1000000000000 0\n",  # over the cap: refused before allocation
         "p edge 3 -1\n",        # negative edge count
@@ -123,6 +125,8 @@ def test_parse_coloring_errors():
         parse_coloring("w 1 2\n")
     with pytest.raises(ParseError):
         parse_coloring("v 1 2\nv 1 3\n")
+    with pytest.raises(ParseError):
+        parse_coloring("v 1 x\n")
     assert parse_coloring("c note\n") == {}
 
 

@@ -102,6 +102,11 @@ def test_hypotheses_checked_per_component():
     g = disjoint_union(complete_graph(4), cycle_graph(5), offset=4)
     report = check_hypotheses(g, uniform_lists(g, 3))
     assert not report.ok and report.failing_component == (1, 2, 3, 4)
+    # a C5 with slack (passed over) before a K4 with a short list
+    g = disjoint_union(cycle_graph(5), complete_graph(4), offset=5)
+    report = check_hypotheses(g, uniform_lists(g, 3) | {9: frozenset({1, 2})})
+    assert not report.ok and report.failing_component == (6, 7, 8, 9)
+    assert "vertex 9 has fewer than 3 colors" in report.detail
 
 
 # Components with slack whose lists all reach their degrees: greedy in reverse
@@ -662,6 +667,12 @@ def test_brooks_matches_per_component_reference_on_disjoint_unions(monkeypatch):
         most_rounds = max(most_rounds, want_rounds)
         total_rounds += want_rounds
     assert total_rounds >= 300 and most_rounds >= 4
+    # tight components of different degree: the component scan accepts each
+    # one in turn
+    g = disjoint_union(petersen_graph(), circulant_graph(9, (1, 2)), 10)
+    lists = {v: frozenset(range(1, 4 + (v > 10))) for v in g.vertices}
+    assert check_hypotheses(g, lists).ok
+    assert brooks_list_color(g, lists) == brooks_per_component(g, lists)[0]
 
 
 class _CountedIds(tuple):
