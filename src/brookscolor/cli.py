@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which some editors write
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -118,7 +119,7 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
     g, _ = parse_instance(_read(args.file))
     certificate = chordality_certificate(g)
     if certificate.peo is not None:
-        print(" ".join(["chordal", *map(str, certificate.peo)]).rstrip())
+        print(" ".join(["chordal", *map(str, certificate.peo)]))
         return EXIT_OK
     assert certificate.hole is not None
     print(" ".join(["hole", *map(str, certificate.hole.cycle)]))

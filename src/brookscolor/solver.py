@@ -30,7 +30,7 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from itertools import chain, compress, filterfalse, product
+from itertools import compress, filterfalse
 from operator import ge, sub
 from typing import NamedTuple
 
@@ -104,8 +104,6 @@ class BranchPair(NamedTuple):
     cycle: Hole
     f_retained: tuple[int, int, int]  # x_1, x_2, x_3
     h_retained: tuple[int, int, int]  # x_2, x_3, x_4
-    f_added_edge: tuple[int, int]  # (x_1, x_3)
-    h_added_edge: tuple[int, int]  # (x_2, x_4)
 
 
 def check_hypotheses(g: Graph, lists: ListAssignment) -> HypothesisReport:
@@ -127,7 +125,7 @@ def _check_hypotheses(
     # ascending) and the tight components, the rest. One C-level scan gives
     # each list's excess over its degree. Components are found only on what
     # the search leaves, or on all of g to refuse a list shorter than its
-    # degree.
+    # degree, and each is decided by the one per-component rule.
     ids = g.vertices
     try:
         sizes = list(map(len, map(lists.__getitem__, ids)))
@@ -135,26 +133,20 @@ def _check_hypotheses(
         raise MissingList(next(filterfalse(lists.__contains__, ids))) from None
     excess = list(map(sub, sizes, map(len, map(g.slots.__getitem__, ids))))
     if min(excess, default=0) < 0:
-        return _first_failure(g, lists, connected_components(g)), [], ()
+        return _first_failure(g, lists, connected_components(g), tight=False), [], ()
     order, seen = _slack_order(g, list(compress(ids, excess)))
-    if len(order) == len(excess):
-        return HypothesisReport(ok=True), order, ()
     parts = connected_components(g, seen)
-    if order:  # every list left is exactly as long as its vertex's degree
-        sizes = list(map(len, map(lists.__getitem__, chain.from_iterable(parts))))
-    d = max(sizes, default=0)
-    regular = min(sizes, default=0) == d >= 3
-    if regular and not any(len(comp) == d + 1 and is_complete(g, comp) for comp in parts):
-        return HypothesisReport(ok=True), order, parts
-    return _first_failure(g, lists, parts), order, parts
+    return _first_failure(g, lists, parts, tight=True), order, parts
 
 
 def _first_failure(g: Graph, lists: ListAssignment,
-                   parts: tuple[tuple[int, ...], ...]) -> HypothesisReport:
-    # The first of parts that passes neither (a) nor (b), or an ok report.
+                   parts: tuple[tuple[int, ...], ...], tight: bool) -> HypothesisReport:
+    # The first of parts that passes neither (a) nor (b), or an ok report. In
+    # tight parts every list is exactly as long as its vertex's degree, so
+    # the list sizes stand for the degrees there.
     for comp in parts:
-        sizes = [len(lists[v]) for v in comp]
-        degrees = list(map(len, map(g.slots.__getitem__, comp)))
+        sizes = list(map(len, map(lists.__getitem__, comp)))
+        degrees = sizes if tight else list(map(len, map(g.slots.__getitem__, comp)))
         if sizes != degrees and all(map(ge, sizes, degrees)):
             continue
         d = max(degrees)
@@ -205,8 +197,6 @@ def build_branch_pair(g: Graph, c: Hole) -> BranchPair:
         cycle=c,
         f_retained=(x[0], x[1], x[2]),
         h_retained=(x[1], x[2], x[3]),
-        f_added_edge=(x[0], x[2]),
-        h_added_edge=(x[1], x[3]),
     )
 
 
@@ -257,26 +247,29 @@ def extend_around_cycle(c: Hole, lists: ListAssignment) -> Coloring:
 
     The walk starts at an ordered adjacent pair (a, b) and a color of L*(a)
     that leaves L*(b) two colors: any color of L*(a) if |L*(b)| >= 3, else
-    one of L*(a) - L*(b). Pairs are scanned along the forward sweep from the
-    stored x_1, then the reverse sweep; the first pair with such a color
-    starts, with the smallest one. The cycle is relabeled so a, b become x_1,
-    x_2; x_1 takes that color; then x_k down to x_3 each take their smallest
-    color differing from the successor's (x_k differs from x_1), and x_2
-    finally avoids both x_1 and x_3.
+    one of L*(a) - L*(b). Pairs (x_i, x_{i+1}) are scanned forward from the
+    stored x_1; the first pair with such a color starts, with the smallest
+    one. A pair fails only when L*(x_i) is a subset of a two-color L*(x_{i+1}),
+    that is, equal to it, so if every forward pair fails all lists are one
+    two-color set and no pair in the other direction could start either.
+    The cycle is rotated so a, b become x_1, x_2; x_1 takes that color; then
+    x_k down to x_3 each take their smallest color differing from the
+    successor's (x_k differs from x_1), and x_2 finally avoids both x_1 and
+    x_3.
     """
     x = c.cycle
     k = len(x)
     for xi in x:
         if len(lists[xi]) < 2:
             raise ResidualTooSmall(xi)
-    for step, i in product((1, -1), range(k)):
-        after = lists[x[(i + step) % k]]
+    for i in range(k):
+        after = lists[x[(i + 1) % k]]
         choices = lists[x[i]] if len(after) >= 3 else lists[x[i]] - after
         if choices:
             break
     else:
         raise NoStartPair("every adjacent pair has the same two-color residual list")
-    relabeled = [x[(i + step * j) % k] for j in range(k)]
+    relabeled = x[i:] + x[:i]
 
     c1 = min(choices)
     colors: Coloring = {relabeled[0]: c1}

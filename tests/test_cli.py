@@ -47,10 +47,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_chordal_hole_output(capsys, c5_file):
+def test_chordal_hole_output(capsys, c5_file, tmp_path):
     code, out, _ = run(capsys, ["chordal", c5_file])
     assert code == 1
     assert out == "hole 1 2 3 4 5\n"
+    # a file saved with a UTF-8 byte-order mark reads the same
+    marked = tmp_path / "c5-bom.col"
+    marked.write_text(emit_instance(cycle_graph(5)), encoding="utf-8-sig")
+    assert run(capsys, ["chordal", str(marked)]) == (1, out, "")
 
 
 def test_chordal_peo_output(capsys, tmp_path):
@@ -78,6 +82,8 @@ def test_color_verify_pipeline(capsys, petersen_file, tmp_path):
     coloring_file.write_text(out)
     code, out2, _ = run(capsys, ["verify", petersen_file, str(coloring_file)])
     assert code == 0 and out2 == "ok\n"
+    coloring_file.write_text(out, encoding="utf-8-sig")
+    assert run(capsys, ["verify", petersen_file, str(coloring_file)]) == (0, "ok\n", "")
 
 
 def test_color_k4_with_one_long_list(capsys, tmp_path):

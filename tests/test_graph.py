@@ -118,6 +118,9 @@ def test_surgery_keeps_ids_stable():
     h = surgery(g, delete={3})
     assert h.vertices == (7, 20)
     assert h.adjacent(7, 20)
+    for graph, absent in ((g, 21), (h, 3)):  # one past the slots; a slot surgery emptied
+        with pytest.raises(UnknownVertex):
+            graph.neighbors(absent)
 
 
 @given(graphs())
@@ -193,6 +196,7 @@ def test_surgery_matches_rebuilding_reference(g, data):
 def test_graph_equality_and_repr(g):
     clone = build_graph(g.vertices, list(g.edges()))
     assert clone == g
+    assert g != 5
     assert repr(g) == f"Graph(n={g.n}, m={g.m})"
 
 

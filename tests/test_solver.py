@@ -197,7 +197,6 @@ def test_branch_pair_c4():
     assert pair.f_graph.vertices == (1, 2, 3) and is_complete(pair.f_graph, (1, 2, 3))
     assert pair.h_graph.vertices == (2, 3, 4) and is_complete(pair.h_graph, (2, 3, 4))
     assert pair.f_retained == (1, 2, 3) and pair.h_retained == (2, 3, 4)
-    assert pair.f_added_edge == (1, 3) and pair.h_added_edge == (2, 4)
 
 
 def test_branch_pair_c5():
@@ -226,6 +225,8 @@ def test_branch_pair_rejects_invalid_holes():
         build_branch_pair(k4, Hole((1, 2, 3, 4)))  # chords everywhere
     with pytest.raises(InvalidHole):
         build_branch_pair(c4, Hole((1, 2, 3, 9)))  # unknown vertex
+    with pytest.raises(InvalidHole, match="repeats a vertex"):
+        build_branch_pair(c4, Hole((1, 2, 3, 1)))
 
 
 @given(nonchordal_graphs())
@@ -235,9 +236,9 @@ def test_branch_pair_invariants(g):
     hole = cert.hole
     pair = build_branch_pair(g, hole)
     x = hole.cycle
-    # added chords were absent in g
-    assert not g.adjacent(*pair.f_added_edge)
-    assert not g.adjacent(*pair.h_added_edge)
+    # the added chords, each joining its retained triple's ends, were absent in g
+    assert not g.adjacent(*pair.f_retained[::2])
+    assert not g.adjacent(*pair.h_retained[::2])
     # strict shrink and degree bound
     for branch in (pair.f_graph, pair.h_graph):
         assert branch.n < g.n
@@ -271,8 +272,6 @@ def test_select_branch_both_blocked_is_detectable():
         cycle=pair.cycle,
         f_retained=pair.f_retained,
         h_retained=pair.h_retained,
-        f_added_edge=pair.f_added_edge,
-        h_added_edge=pair.h_added_edge,
     )
     with pytest.raises(BothBranchesBlocked):
         select_branch(forged, 3)
@@ -335,9 +334,9 @@ def test_extend_k5_three_color_lists():
     assert out == {1: 1, 2: 3, 3: 2, 4: 1, 5: 2}
 
 
-def test_extend_uses_reverse_sweep_when_needed():
-    # forward pairs all fail ({1,2} everywhere except x4 reachable only
-    # against the stored orientation)
+def test_extend_starts_at_the_first_forward_pair_that_can():
+    # (x1, x2) and (x2, x3) fail, since {1,2} leaves {1,2} one color; the
+    # walk starts at (x3, x4), where x4's three colors leave two
     star = {
         1: frozenset({1, 2}),
         2: frozenset({1, 2}),
@@ -398,14 +397,18 @@ def test_extend_matches_pair_scan_reference(k, data):
 
 def test_extend_matches_pair_scan_reference_on_all_short_cycles():
     # every assignment of nonempty subsets of {1, 2, 3} to cycles of 3 to 5
-    # vertices, where lists of 3 and lists contained in a neighbor's are common
+    # vertices, where lists of 3 and lists contained in a neighbor's are common.
+    # No start pair exists exactly when every list is the same 2-set, so the
+    # one forward sweep finds a start whenever the reference's two sweeps do.
     subsets = [frozenset(s) for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
     for k in (3, 4, 5):
         cycle = tuple(range(1, k + 1))
         for chosen in itertools.product(subsets, repeat=k):
             lists = dict(zip(cycle, chosen))
-            assert _extend_outcome(extend_around_cycle, cycle, lists) == \
-                _extend_outcome(extend_around_cycle_pairs, cycle, lists), lists
+            outcome = _extend_outcome(extend_around_cycle, cycle, lists)
+            assert outcome == _extend_outcome(extend_around_cycle_pairs, cycle, lists), lists
+            one_pair = len(set(chosen)) == 1 and len(chosen[0]) == 2
+            assert (isinstance(outcome, tuple) and outcome[0] is NoStartPair) == one_pair, lists
 
 
 def _extend_outcome(extend, cycle, lists):
@@ -769,9 +772,9 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
     phi = brooks_list_color(g, lists)
     assert branch_picks == ["F", "F", "F", "F"]
     assert sizes == [2022, 2018, 2014, 2010]
-    # 28.4 n: 17 n for the input's list-against-degree scan (6 n), its
-    # components (5 n) and the final verification (6 n), 8 n to order (4 n)
-    # and color (4 n) the 2 000 vertices the last round frees, 2 n to hand
+    # 27.4 n: 17 n for the input's list-against-degree scan (7 n), its
+    # components (5 n) and the final verification (5 n), 8 n to order (4 n)
+    # and color (4 n) the 2 000 vertices the last round frees, 1 n to hand
     # the colors out as a dict, 1 n for uniform_lists, and 0.4 n for the four
     # rounds' certificates, branch pairs and residual lists. A whole-graph
     # pass in each of the four rounds would add 16 n.
