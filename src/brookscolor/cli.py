@@ -11,7 +11,9 @@ from __future__ import annotations
 import gc
 import io
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .chordal import chordality_certificate, uniform_lists
@@ -22,8 +24,6 @@ from .instance_io import (MAX_VERTICES, MODELS, InfeasibleConfig, ParseError, em
 # each command imports the generators, the solver and the oracle where it
 # runs them, so that chordal compiles none of them and color no generators
 if TYPE_CHECKING:
-    import argparse
-
     from .generate import GeneratorConfig
 
 EXIT_OK = 0
@@ -39,50 +39,6 @@ EXIT_DATA = 65
 
 class _UsageError(Exception):
     pass
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> None:  # type: ignore[override]
-            raise _UsageError(message)
-
-    parser = Parser(prog="brookscolor", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    gen_opts = argparse.ArgumentParser(add_help=False)
-    gen_opts.add_argument("--n", type=int, default=30, help="vertex count")
-    gen_opts.add_argument("--delta", type=int, default=4, help="max-degree cap")
-    gen_opts.add_argument("--model", choices=MODELS, default="tree-plus-edges")
-    gen_opts.add_argument("--seed", type=int, default=0)
-    gen_opts.add_argument("--list-size", type=int,
-                          help="colors per list (default: delta)")
-    gen_opts.add_argument("--palette", type=int,
-                          help="palette size, colors are 1..palette (default: 2*delta)")
-
-    p = sub.add_parser("chordal", help="print an elimination order or a hole")
-    p.add_argument("file")
-
-    p = sub.add_parser("color", help="list-color an instance")
-    p.add_argument("file")
-    p.add_argument("--uniform", type=int, metavar="K",
-                   help="use lists {1..K} everywhere, ignoring any in the file")
-
-    p = sub.add_parser("seedrun", parents=[gen_opts],
-                       help="generate and color N instances, report pass/fail counts")
-    p.add_argument("count", type=int, metavar="N")
-
-    p = sub.add_parser("verify", help="check a coloring file against an instance")
-    p.add_argument("file")
-    p.add_argument("coloring_file")
-
-    p = sub.add_parser("oracle", help="exhaustive search for a list coloring")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=10_000_000, help="node limit")
-
-    sub.add_parser("gen", parents=[gen_opts], help="write a generated instance to stdout")
-    return parser
 
 
 def _read(path: str) -> str:
@@ -106,7 +62,7 @@ def _write(text: str) -> None:
             data = data[raw.write(data):]
 
 
-def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
+def _config_from_args(args: SimpleNamespace) -> GeneratorConfig:
     from .generate import GeneratorConfig
 
     return GeneratorConfig(
@@ -115,7 +71,7 @@ def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
         palette=2 * args.delta if args.palette is None else args.palette)
 
 
-def _cmd_chordal(args: argparse.Namespace) -> int:
+def _cmd_chordal(args: SimpleNamespace) -> int:
     g, _ = parse_instance(_read(args.file))
     certificate = chordality_certificate(g)
     if certificate.peo is not None:
@@ -126,7 +82,7 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
     return EXIT_HOLE
 
 
-def _cmd_seedrun(args: argparse.Namespace) -> int:
+def _cmd_seedrun(args: SimpleNamespace) -> int:
     count = args.count
     if count < 1:
         raise _UsageError("seedrun needs a positive instance count")
@@ -156,7 +112,7 @@ def _cmd_seedrun(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_SEED_FAILED
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
+def _cmd_color(args: SimpleNamespace) -> int:
     # no vertex can need more colors than the vertex cap, so a larger K only
     # costs memory
     if args.uniform is not None and not 0 <= args.uniform <= MAX_VERTICES:
@@ -179,7 +135,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .oracle import IncompleteColoring, verify_coloring
 
     g, lists = parse_instance(_read(args.file))
@@ -196,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must not be negative")
     from .oracle import OracleOutcome, brute_force_list_color
@@ -215,7 +171,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     from .generate import generate
 
     text = emit_instance(*generate(_config_from_args(args)))  # the graph is freed before the write
@@ -223,24 +179,121 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_GEN_OPTIONS = {"--n": (int, 30), "--delta": (int, 4), "--model": (MODELS, "tree-plus-edges"),
+                "--seed": (int, 0), "--list-size": (int, None), "--palette": (int, None)}
+# per command: its handler, its positionals (name, type) and its options
+# {name: (type, default)}; a tuple for a type lists the choices
+_GRAMMAR = {
+    "chordal": (_cmd_chordal, (("file", str),), {}),
+    "color": (_cmd_color, (("file", str),), {"--uniform": (int, None)}),
+    "seedrun": (_cmd_seedrun, (("count", int),), _GEN_OPTIONS),
+    "verify": (_cmd_verify, (("file", str), ("coloring_file", str)), {}),
+    "oracle": (_cmd_oracle, (("file", str),), {"--limit": (int, 10_000_000)}),
+    "gen": (_cmd_gen, (), _GEN_OPTIONS),
+}
+_HELP = (("-h", None), ("--help", None))
+_SYNOPSIS = """\
+brookscolor chordal FILE              # "chordal <order>" (exit 0) or "hole <cycle>" (exit 1)
+brookscolor color FILE [--uniform K]  # "v <id> <color>" lines (exit 0), or exit 2
+brookscolor seedrun N [gen flags]     # batch of generated instances, pass/fail counts
+brookscolor verify FILE COLORING_FILE # "ok" (exit 0) or "defect: ..." (exit 3)
+brookscolor oracle FILE [--limit N]   # exhaustive search (exit 0 / 4 unsat / 5 limit)
+brookscolor gen --n N --delta D [--model M --seed S --list-size L --palette P]
+"""
+
+
+def _option(token: str, options: dict) -> tuple[str | None, str | None] | None:
+    """How argparse read a token before the first '--': None for a
+    positional, else (the option it names or None, the value after '=' or
+    None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    names = [*options, "-h", "--help"]
+    name, eq, value = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":  # a unique prefix of a long option names it
+        found = [option for option in names if option.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token!r} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":  # -h with more after it
+        return None, None
+    # a negative number, or a string with a space, is a positional
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        raise _UsageError(f"argument {name}: invalid choice: {text!r}"
+                          f" (choose from {', '.join(map(repr, kind))})")
+    return text
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Reads argv as the argparse grammar before it (tests/reference.py)
+    did; None asks for help."""
+    if not argv:
+        raise _UsageError("missing command")
+    if argv[0] not in _GRAMMAR:
+        if argv[0] != "--" and _option(argv[0], {}) in _HELP:
+            return None
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r}"
+                          f" (choose from {', '.join(map(repr, _GRAMMAR))})")
+    _, positionals, options = _GRAMMAR[argv[0]]
+    args = SimpleNamespace(command=argv[0], **{
+        name[2:].replace("-", "_"): default for name, (_, default) in options.items()})
+    # After the first '--' every token is a positional. The '--' goes with
+    # the positional just before it, else with the next one; a later '--'
+    # alone is no positional, where argparse gave [].
+    filled, extras, ended, pending, after_positional = 0, [], False, False, False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--" and not ended:
+            ended, pending = True, not after_positional
+            continue
+        option = None if ended else _option(token, options)
+        if option in _HELP:
+            return None
+        after_positional = option is None and filled < len(positionals)
+        if after_positional and (token != "--" or pending):
+            name, kind = positionals[filled]
+            setattr(args, name, _value(name, kind, token))
+            filled, pending = filled + 1, False
+        elif option is None or option[0] not in options:  # unknown, or help given a value
+            extras.append(token)
+        else:
+            name, value = option
+            if value is None:
+                value = next(tokens, "--")  # the end of argv, like a '--', is no value
+                if value == "--" or _option(value, options):
+                    raise _UsageError(f"argument {name}: expected one argument after {token!r}")
+            setattr(args, name[2:].replace("-", "_"), _value(name, options[name][0], value))
+    if filled < len(positionals):
+        missing = ", ".join(name for name, _ in positionals[filled:])
+        raise _UsageError(f"the following arguments are required: {missing}")
+    if extras or pending:
+        extras += ["--"] * pending
+        raise _UsageError(f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    if (sys.argv[1:] if argv is None else argv)[:1] in (["color"], ["seedrun"]):
-        # compile the solver before argparse loads, so the two do not stack in peak memory
-        from . import solver  # noqa: F401
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("missing command")
-        handler = {
-            "chordal": _cmd_chordal,
-            "color": _cmd_color,
-            "seedrun": _cmd_seedrun,
-            "verify": _cmd_verify,
-            "oracle": _cmd_oracle,
-            "gen": _cmd_gen,
-        }[args.command]
-        code = handler(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h or --help
+            _write(_SYNOPSIS)
+            code = EXIT_OK
+        else:
+            code = _GRAMMAR[args.command][0](args)
         sys.stdout.flush()  # a closed pipe is reported here, not at shutdown
         return code
     except (_UsageError, InfeasibleConfig) as exc:

@@ -6,6 +6,7 @@ plain BFS) and deliberately shares no logic with the package under test.
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import itertools
 from bisect import bisect_left
@@ -44,7 +45,8 @@ from brookscolor import (
     select_branch,
     verify_peo,
 )
-from brookscolor.instance_io import MAX_VERTICES
+from brookscolor.cli import _UsageError
+from brookscolor.instance_io import MAX_VERTICES, MODELS
 
 
 # ---------------------------------------------------------------- builders
@@ -864,3 +866,50 @@ def emit_instance_joined(g: Graph, lists=None) -> str:
             colors = " ".join(str(c) for c in sorted(lists[v]))
             out.append(f"l {v} {colors}".rstrip())
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------- command line
+
+# The argparse grammar that `brookscolor.cli._parse` replaced, as it stood.
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message)
+
+    parser = Parser(prog="brookscolor", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+
+    gen_opts = argparse.ArgumentParser(add_help=False)
+    gen_opts.add_argument("--n", type=int, default=30, help="vertex count")
+    gen_opts.add_argument("--delta", type=int, default=4, help="max-degree cap")
+    gen_opts.add_argument("--model", choices=MODELS, default="tree-plus-edges")
+    gen_opts.add_argument("--seed", type=int, default=0)
+    gen_opts.add_argument("--list-size", type=int,
+                          help="colors per list (default: delta)")
+    gen_opts.add_argument("--palette", type=int,
+                          help="palette size, colors are 1..palette (default: 2*delta)")
+
+    p = sub.add_parser("chordal", help="print an elimination order or a hole")
+    p.add_argument("file")
+
+    p = sub.add_parser("color", help="list-color an instance")
+    p.add_argument("file")
+    p.add_argument("--uniform", type=int, metavar="K",
+                   help="use lists {1..K} everywhere, ignoring any in the file")
+
+    p = sub.add_parser("seedrun", parents=[gen_opts],
+                       help="generate and color N instances, report pass/fail counts")
+    p.add_argument("count", type=int, metavar="N")
+
+    p = sub.add_parser("verify", help="check a coloring file against an instance")
+    p.add_argument("file")
+    p.add_argument("coloring_file")
+
+    p = sub.add_parser("oracle", help="exhaustive search for a list coloring")
+    p.add_argument("file")
+    p.add_argument("--limit", type=int, default=10_000_000, help="node limit")
+
+    sub.add_parser("gen", parents=[gen_opts], help="write a generated instance to stdout")
+    return parser

@@ -1,12 +1,17 @@
+import argparse
 import gc
 import hashlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brookscolor import (
     MODELS,
@@ -20,9 +25,10 @@ from brookscolor import (
     verify_coloring,
 )
 from brookscolor import cli, solver
-from brookscolor.cli import main
+from brookscolor.cli import _UsageError, main
 
-from reference import complete_graph, cycle_graph, four_rounds_22, path_graph, petersen_graph
+from reference import (_build_parser, complete_graph, cycle_graph, four_rounds_22, path_graph,
+                       petersen_graph)
 
 gen_mod = importlib.import_module("brookscolor.generate")
 
@@ -336,6 +342,127 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert run(capsys, argv) == (64, "", said), argv
 
 
+_GEN_OPTIONS = ("--n", "--delta", "--model", "--seed", "--list-size", "--palette")
+# per command: how many positionals it takes, and its options
+_COMMANDS = {"chordal": (1, ()), "color": (1, ("--uniform",)), "seedrun": (1, _GEN_OPTIONS),
+            "verify": (2, ()), "oracle": (1, ("--limit",)), "gen": (0, _GEN_OPTIONS)}
+# every option and every prefix of one that is longer than "--"; help is left out
+_PREFIXES = {command: sorted({name[:k] for name in names for k in range(3, len(name) + 1)})
+             for command, (_, names) in _COMMANDS.items()}
+_NUMBERS = st.integers(-3, 40).map(str)  # counts and values, and files too
+_WORDS = ("--", "-", "", " ", "x", "a b", "-x", "--x", "-1.5", "-.5", "-1x", "--1", "-1 ",
+          "nope", "g.col", "dir/g.col", "../g.col", "a dir/g.col", *MODELS)
+_VALUES = st.one_of(_NUMBERS, st.sampled_from(_WORDS))
+_ANY_PREFIX = st.sampled_from(sorted(set().union(*_PREFIXES.values())))
+_TOKENS = st.one_of(st.sampled_from([*_COMMANDS]), _ANY_PREFIX, _VALUES,
+                    st.builds("{}={}".format, _ANY_PREFIX | st.just("--"), _VALUES))
+
+
+@st.composite
+def _argvs(draw):
+    # a command line that argparse took, in any order, with its options
+    # given as '--opt V' or '--opt=V'; then up to three tokens of any kind
+    # put in or taken out anywhere, the command's place included
+    command = draw(st.sampled_from([*_COMMANDS]))
+    pieces = [[draw(_NUMBERS)] for _ in range(_COMMANDS[command][0])]
+    for _ in range(draw(st.integers(0, 3)) if _PREFIXES[command] else 0):
+        option = draw(st.sampled_from(_PREFIXES[command]))
+        value = draw(st.sampled_from(MODELS) if "--model".startswith(option) else _NUMBERS)
+        pieces.append([option, value] if draw(st.booleans()) else [f"{option}={value}"])
+    argv = [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(at, draw(_TOKENS))
+        elif at < len(argv):
+            del argv[at]
+    return argv
+
+
+_REFERENCE = _build_parser()
+
+
+def _refuse_empty_values(self, action, strings):
+    # argparse strips the first '--' from each value, so a value that was
+    # '--' alone came out as [], to be overwritten or handed to a command;
+    # the reader refuses it
+    value = argparse.ArgumentParser._get_values(self, action, strings)
+    if value == []:
+        raise _UsageError(f"argument {action.dest}: no value")
+    return value
+
+
+type(_REFERENCE)._get_values = _refuse_empty_values  # the subcommands' parsers share the class
+
+
+def _reference_vars(argv):
+    try:
+        args = vars(_REFERENCE.parse_args(argv))
+    except _UsageError:
+        return None
+    return None if args["command"] is None else args
+
+
+@given(_argvs())
+def test_reader_agrees_with_the_argparse_grammar(argv):
+    expected = _reference_vars(argv)
+    try:
+        got = vars(cli._parse(argv))
+    except _UsageError:
+        got = None
+    assert got == expected
+    if got is None:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code == 64 and out.getvalue() == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+        # the message names a token, or the value after a token's '=', or
+        # what is missing
+        named = [*argv, *(token.partition("=")[2] for token in argv if "=" in token)]
+        assert (any(repr(name) in err for name in named) or "are required: " in err
+                or err == "usage error: missing command\n"), (argv, err)
+
+
+def test_reader_takes_what_argparse_took():
+    # prefixes, '=', '--' and negative numbers, options before and after
+    # the positionals
+    for argv, expected in (
+            (["color", "--uni", "3", "f"], {"file": "f", "uniform": 3}),
+            (["color", "--uniform=-3", "--", "-f"], {"file": "-f", "uniform": -3}),
+            (["color", "f", "--"], {"file": "f", "uniform": None}),
+            (["seedrun", "-2", "--seed", "-1", "--mod=gnp-capped"],
+             {"count": -2, "seed": -1, "model": "gnp-capped", "n": 30, "delta": 4,
+              "list_size": None, "palette": None}),
+            (["verify", "--", "--", "b"], {"file": "--", "coloring_file": "b"}),
+            (["oracle", "-1.5"], {"file": "-1.5", "limit": 10_000_000})):
+        assert vars(cli._parse(argv)) == {"command": argv[0], **expected} == _reference_vars(argv)
+    for argv in (["color", "f", "--", "--"], ["gen", "--seed=--"], ["color", "f", "--uniform"],
+                 ["gen", "--"], ["color", "--uniform", "3", "--"], ["--", "chordal", "f"],
+                 ["gen", "--=3"], ["chordal", "-1x"], ["chordal", "f", "g"]):
+        with pytest.raises(_UsageError):
+            cli._parse(argv)
+        assert _reference_vars(argv) is None
+
+
+def _readme_synopsis():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["color", "-h"], ["gen", "--n", "3", "--he"]])
+def test_help_prints_the_synopsis_and_returns(capsys, argv):
+    assert run(capsys, argv) == (0, _readme_synopsis(), "")
+
+
+def test_help_exits_zero_from_the_entry_point():
+    for argv in (["-h"], ["--help"], ["color", "-h"]):
+        child = _entry_point(*argv)
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out, err) == (0, _readme_synopsis(), ""), argv
+
+
 def test_uniform_beyond_max_degree_builds_max_degree_plus_one_colors(capsys, tmp_path,
                                                                     monkeypatch):
     # any K > max degree colors alike, so the CLI builds at most max degree + 1
@@ -424,15 +551,16 @@ def _fresh_child(code, *args):
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     # each costs start-up time on every command (array is a shared library
-    # that a lane constant could be built with); color and chordal never
+    # that a lane constant could be built with, argparse loads gettext and
+    # locale); color and chordal never
     # generate, so they never compile the generators either, and loading the
     # generators for gen and seedrun must not pull them in or build the
     # generators' lane constants
     path = tmp_path / "petersen.col"
     path.write_text(emit_instance(petersen_graph(), uniform_lists(petersen_graph(), 3)))
     code = ("import sys, brookscolor.cli as cli; "
-            "loaded = lambda: sorted({'array', 'dataclasses', 'inspect', 'brookscolor.generate'}"
-            " & set(sys.modules)); "
+            "loaded = lambda: sorted({'argparse', 'array', 'dataclasses', 'gettext', 'inspect',"
+            " 'locale', 'brookscolor.generate'} & set(sys.modules)); "
             "print(loaded()); "
             "print(cli.main(['color', sys.argv[1]]), cli.main(['chordal', sys.argv[1]]), loaded()); "
             "import brookscolor.generate; "
