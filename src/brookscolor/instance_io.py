@@ -7,6 +7,8 @@ Vertex ids are 1..n. Coloring files hold ``v id color`` lines.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .chordal import Coloring, ListAssignment
 from .graph import MAX_VERTICES, Graph, UnknownVertex, build_graph
 
@@ -14,6 +16,9 @@ from .graph import MAX_VERTICES, Graph, UnknownVertex, build_graph
 # cap, so the CLI's `--model` choices and error handling do not load
 # generate.py; that module re-exports both.
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
+# parse_instance splits the text one slice at a time, each cut just after the
+# first '\n' at or past this many characters, so no list of every line is held
+_SLICE = 16384
 
 
 class InfeasibleConfig(Exception):
@@ -32,12 +37,25 @@ class DuplicateListLine(ParseError):
     """A vertex received more than one ``l`` line."""
 
 
-def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), a slice at a time. A '\n' always ends a line and a
+    cut after it never splits a '\r\n', so the lines are the same."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def parse_instance(text: str, *, by_id: bool = False
+                   ) -> tuple[Graph, ListAssignment | list[frozenset[int] | None] | None]:
     """Parse an instance file into a graph and, if ``l`` lines occur, lists.
 
     Vertices missing an ``l`` line in a file that has any get empty lists.
+    The lists are a dict, or with by_id=True a list indexed by vertex id,
+    None at id 0, which no vertex has.
     """
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(_lines(text), start=1)
     for line_no, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -66,7 +84,7 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     ids = list(range(n + 1))
     us: list[int] = []
     vs: list[int] = []
-    by_id: list[frozenset[int] | None] = [None] * (n + 1)
+    lists: list[frozenset[int] | None] = [None] * (n + 1)
     # keyed by the tokens joined with single spaces, so that equal l lines
     # share one frozenset and convert their tokens once
     color_lists: dict[str, frozenset[int]] = {}
@@ -104,9 +122,9 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
                 raise ParseError(line_no, "list entries must be integers") from None
             if not 1 <= v <= n:
                 raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
-            if by_id[v] is not None:
+            if lists[v] is not None:
                 raise DuplicateListLine(line_no, f"second list line for vertex {v}")
-            by_id[v] = colors
+            lists[v] = colors
         elif kind == "p":
             raise ParseError(line_no, "duplicate problem line")
         elif kind != "c":
@@ -116,11 +134,14 @@ def parse_instance(text: str) -> tuple[Graph, ListAssignment | None]:
     del ids, us, vs  # freed before the lists dict is built: a lower peak
     if not color_lists:  # no l line
         return g, None
-    del by_id[0]
-    if None in by_id:
+    if lists.count(None) > 1:  # id 0 and a vertex without an l line
         empty: frozenset[int] = frozenset()
-        by_id = [empty if colors is None else colors for colors in by_id]
-    return g, dict(zip(g.vertices, by_id))
+        lists = [empty if colors is None else colors for colors in lists]
+        lists[0] = None
+    if by_id:
+        return g, lists
+    del lists[0]
+    return g, dict(zip(g.vertices, lists))
 
 
 def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
@@ -170,6 +191,9 @@ def parse_coloring(text: str) -> Coloring:
     return phi
 
 
-def emit_coloring(phi: Coloring) -> str:
-    """Render a coloring as ``v id color`` lines, ascending by id."""
-    return "".join(f"v {v} {phi[v]}\n" for v in sorted(phi))
+def emit_coloring(phi: Coloring | list[int | None]) -> str:
+    """Render a coloring as ``v id color`` lines, ascending by id. phi is a
+    dict, or a list by id with None where no vertex has the id."""
+    if isinstance(phi, dict):
+        return "".join(f"v {v} {phi[v]}\n" for v in sorted(phi))
+    return "".join(f"v {v} {color}\n" for v, color in enumerate(phi) if color is not None)

@@ -30,7 +30,7 @@ whose existence the retained triangle guarantees.
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse
+from itertools import compress
 from operator import ge, sub
 from typing import NamedTuple
 
@@ -129,8 +129,12 @@ def _check_hypotheses(
     ids = g.vertices
     try:
         sizes = list(map(len, map(lists.__getitem__, ids)))
-    except KeyError:
-        raise MissingList(next(filterfalse(lists.__contains__, ids))) from None
+    except (KeyError, IndexError, TypeError):  # a list by id may be short or hold None
+        get = lists.get if isinstance(lists, dict) else dict(enumerate(lists)).get
+        missing = [v for v in ids if get(v) is None]
+        if not missing:
+            raise
+        raise MissingList(missing[0]) from None
     excess = list(map(sub, sizes, map(len, map(g.slots.__getitem__, ids))))
     if min(excess, default=0) < 0:
         return _first_failure(g, lists, connected_components(g), tight=False), [], ()
@@ -284,11 +288,13 @@ def extend_around_cycle(c: Hole, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
+def brooks_list_color(g: Graph, lists: ListAssignment | list[frozenset[int] | None]
+                      ) -> Coloring | list[int | None]:
     """List-color a graph whose components pass :func:`check_hypotheses`.
 
     The returned coloring is proper and drawn from the lists; this is
-    verified once before returning.
+    verified once before returning. lists is a dict, giving a dict, or a list
+    by id, giving the solver's own list by id (None where no vertex has the id).
     """
     report, order, tight = _check_hypotheses(g, lists)
     if not report.ok:
@@ -306,7 +312,7 @@ def brooks_list_color(g: Graph, lists: ListAssignment) -> Coloring:
     defect = verify_coloring(g, lists, colors)
     if defect is not None:
         raise InternalInvariantBroken(f"solver output failed verification: {defect}")
-    return {v: colors[v] for v in g.vertices}
+    return {v: colors[v] for v in g.vertices} if isinstance(lists, dict) else colors
 
 
 def _slack_order(g: Graph, roots: list[int]) -> tuple[list[int], list[bool]]:

@@ -678,6 +678,41 @@ def test_brooks_matches_per_component_reference_on_disjoint_unions(monkeypatch):
     assert brooks_list_color(g, lists) == brooks_per_component(g, lists)[0]
 
 
+def _by_id(g, lists):
+    """lists as a list indexed by vertex id, None where no vertex has the id."""
+    out = [None] * len(g.slots)
+    for v in g.vertices:
+        out[v] = lists[v]
+    return out
+
+
+def test_brooks_lists_by_id_color_as_the_dict_does():
+    # tight components beside slack ones, on interleaved sparse ids
+    for seed in range(100):
+        rng = random.Random(seed)
+        g, lists = _shuffled_union(rng, [_union_piece(rng) for _ in range(rng.randrange(1, 5))])
+        want = brooks_list_color(g, lists)
+        got = brooks_list_color(g, _by_id(g, lists))
+        assert len(got) == len(g.slots), seed
+        assert [got[v] for v in g.vertices] == [want[v] for v in g.vertices], seed
+        assert {got[v] for v in range(len(got)) if not g.has_vertex(v)} <= {None}, seed
+
+
+def test_brooks_lists_by_id_name_a_missing_vertex():
+    g = cycle_graph(4)
+    lists = _by_id(g, uniform_lists(g, 3))
+    lists[3] = None
+    with pytest.raises(MissingList) as info:
+        brooks_list_color(g, lists)
+    assert info.value.vertex == 3
+    with pytest.raises(MissingList) as info:  # shorter than the largest id
+        brooks_list_color(g, lists[:3] + [frozenset({1, 2, 3})])
+    assert info.value.vertex == 4
+    with pytest.raises(MissingList) as info:
+        check_hypotheses(g, lists[:4])
+    assert info.value.vertex == 3
+
+
 class _CountedIds(tuple):
     """A copy of an id tuple that adds to reads[0] one per id iterated."""
 
