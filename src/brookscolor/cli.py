@@ -72,7 +72,7 @@ def _config_from_args(args: SimpleNamespace) -> GeneratorConfig:
 
 
 def _cmd_chordal(args: SimpleNamespace) -> int:
-    g, _ = parse_instance(_read(args.file), by_id=True)  # builds no dict of lists
+    g, _ = parse_instance(_read(args.file))
     certificate = chordality_certificate(g)
     if certificate.peo is not None:
         print(" ".join(["chordal", *map(str, certificate.peo)]))
@@ -119,7 +119,7 @@ def _cmd_color(args: SimpleNamespace) -> int:
         raise _UsageError(f"--uniform K must lie in 0..{MAX_VERTICES}")
     from .solver import HypothesisViolation, brooks_list_color
 
-    g, lists = parse_instance(_read(args.file), by_id=True)  # by id in and out: no dicts
+    g, lists = parse_instance(_read(args.file))  # by id in and out: no dicts
     if args.uniform is not None:
         # with K > max degree every vertex has slack and the greedy gives it a
         # color of at most its degree + 1, so {1..max degree + 1} colors alike
@@ -138,7 +138,7 @@ def _cmd_color(args: SimpleNamespace) -> int:
 def _cmd_verify(args: SimpleNamespace) -> int:
     from .oracle import IncompleteColoring, verify_coloring
 
-    g, lists = parse_instance(_read(args.file), by_id=True)
+    g, lists = parse_instance(_read(args.file))
     phi = parse_coloring(_read(args.coloring_file))
     try:
         defect = verify_coloring(g, lists, phi)
@@ -157,7 +157,7 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
         raise _UsageError("--limit must not be negative")
     from .oracle import OracleOutcome, brute_force_list_color
 
-    g, lists = parse_instance(_read(args.file), by_id=True)
+    g, lists = parse_instance(_read(args.file))
     if lists is None:
         raise _UsageError("oracle needs an instance with 'l' color-list lines")
     result = brute_force_list_color(g, lists, node_limit=args.limit)

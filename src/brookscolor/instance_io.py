@@ -16,7 +16,7 @@ from .graph import MAX_VERTICES, Graph, UnknownVertex, build_graph
 # cap, so the CLI's `--model` choices and error handling do not load
 # generate.py; that module re-exports both.
 MODELS = ("tree-plus-edges", "chordal-simplicial", "gnp-capped")
-# parse_instance splits the text one slice at a time, each cut just after the
+# the parsers split the text one slice at a time, each cut just after the
 # first '\n' at or past this many characters, so no list of every line is held
 _SLICE = 16384
 
@@ -47,15 +47,14 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def parse_instance(text: str, *, by_id: bool = False
-                   ) -> tuple[Graph, ListAssignment | list[frozenset[int] | None] | None]:
-    """Parse an instance file into a graph and, if ``l`` lines occur, lists.
-
-    Vertices missing an ``l`` line in a file that has any get empty lists.
-    The lists are a dict, or with by_id=True a list indexed by vertex id,
-    None at id 0, which no vertex has.
+def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None]:
+    """Parse an instance file into a graph and, if ``l`` lines occur, lists
+    by vertex id: None at id 0, which no vertex has, and an empty list for
+    each vertex without an ``l`` line.
     """
     lines = enumerate(_lines(text), start=1)
+    # _lines holds the text to its last slice: from 3.11 on, freed before the build
+    del text
     for line_no, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -131,23 +130,20 @@ def parse_instance(text: str, *, by_id: bool = False
             raise ParseError(line_no, f"unknown line type {kind!r}")
     del ids[0]
     g = build_graph(ids, zip(us, vs))
-    del ids, us, vs  # freed before the lists dict is built: a lower peak
+    del ids, us, vs  # freed before the lists are filled in: a lower peak
     if not color_lists:  # no l line
         return g, None
     if lists.count(None) > 1:  # id 0 and a vertex without an l line
         empty: frozenset[int] = frozenset()
         lists = [empty if colors is None else colors for colors in lists]
         lists[0] = None
-    if by_id:
-        return g, lists
-    del lists[0]
-    return g, dict(zip(g.vertices, lists))
+    return g, lists
 
 
 def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
     """Render a graph (ids must be exactly 1..n) and optional lists as text.
 
-    parse_instance(emit_instance(g, lists)) reproduces both arguments.
+    parse_instance(emit_instance(g, lists)) gives back g and the lists by id.
     """
     ids = g.vertices
     if ids != tuple(range(1, len(ids) + 1)):
@@ -175,7 +171,7 @@ def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
 def parse_coloring(text: str) -> Coloring:
     """Parse ``v id color`` lines into a coloring."""
     phi: Coloring = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue

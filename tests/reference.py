@@ -654,6 +654,30 @@ def parse_instance_tuples(text: str):
     return g, {v: lists.get(v, frozenset()) for v in g.vertices}
 
 
+# ------------------------------------------------ whole-text coloring parser
+# parse_coloring before it read its lines a slice at a time: one splitlines()
+# over the whole text. The sliced reader must give the same coloring, or the
+# same exception with the same message and line number.
+
+def parse_coloring_whole(text: str) -> dict[int, int]:
+    """Parse ``v id color`` lines into a coloring."""
+    phi: dict[int, int] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        if tokens[0] != "v" or len(tokens) != 3:
+            raise ParseError(line_no, "coloring line must be 'v <id> <color>'")
+        try:
+            v, color = int(tokens[1]), int(tokens[2])
+        except ValueError:
+            raise ParseError(line_no, "coloring entries must be integers") from None
+        if v in phi:
+            raise ParseError(line_no, f"second color for vertex {v}")
+        phi[v] = color
+    return phi
+
+
 # ------------------------------------------------ two-walker certificate
 # The certificate's form before one walker served both: verify_peo and the
 # certificate each ran their own loop over an order, and the anchor's

@@ -29,6 +29,7 @@ from brookscolor.cli import _UsageError, main
 
 from reference import (_build_parser, complete_graph, cycle_graph, four_rounds_22, path_graph,
                        petersen_graph)
+from strategies import graphs
 
 gen_mod = importlib.import_module("brookscolor.generate")
 
@@ -115,6 +116,26 @@ def test_color_uses_embedded_lists(capsys, tmp_path):
     code, out, _ = run(capsys, ["color", str(path)])
     assert code == 0
     assert verify_coloring(g, uniform_lists(g, 3), parse_coloring(out)) is None
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(graphs(min_n=1), st.data())
+def test_uniform_and_parsed_lists_color_alike(tmp_path_factory, g, data):
+    # --uniform K hands the solver uniform_lists' dict; the same lists written
+    # as l lines reach it as the parser's lists by id
+    k = data.draw(st.integers(0, max_degree(g) + 2))
+    bare = tmp_path_factory.getbasetemp() / "uniform-bare.col"
+    listed = tmp_path_factory.getbasetemp() / "uniform-listed.col"
+    bare.write_text(emit_instance(g))
+    listed.write_text(emit_instance(g, uniform_lists(g, k)))
+    assert (_main_outcome(["color", str(bare), "--uniform", str(k)])
+            == _main_outcome(["color", str(listed)]))
 
 
 def test_color_hypothesis_violation_exit_code(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -19,7 +21,8 @@ from brookscolor import (
     uniform_lists,
 )
 
-from reference import adjacency_items, emit_instance_joined, parse_instance_tuples, path_graph
+from reference import (adjacency_items, emit_instance_joined, parse_coloring_whole,
+                       parse_instance_tuples, path_graph)
 from strategies import graphs
 
 
@@ -93,7 +96,7 @@ def test_emit_empty_lists_line():
     text = emit_instance(g, {1: frozenset()})
     assert "l 1\n" in text
     _, lists = parse_instance(text)
-    assert lists == {1: frozenset()}
+    assert lists == [None, frozenset()]
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["tree-plus-edges", "chordal-simplicial", "gnp-capped"]))
@@ -102,7 +105,8 @@ def test_round_trip_on_generated_instances(seed, model):
                                         seed=seed, palette=6, list_size=3))
     text = emit_instance(g, lists)
     g2, lists2 = parse_instance(text)
-    assert g2 == g and lists2 == lists
+    # entry by entry, by id: nothing at id 0, then each vertex's list
+    assert g2 == g and lists2 == [None, *(lists[v] for v in g.vertices)]
     # emitting the parse result reproduces the bytes, too
     assert emit_instance(g2, lists2) == text
 
@@ -139,13 +143,16 @@ def test_parse_instance_negative_colors_allowed():
 
 
 def _outcome(parse, text):
-    """The parsed graph and lists, key order included, or the exception's
-    class, message and line number."""
+    """The parsed graph and each vertex's list, or the exception's class,
+    message and line number. Lists by id hold nothing at id 0 and one entry
+    per slot; the reference's are a dict."""
     try:
         g, lists = parse(text)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc), getattr(exc, "line_no", None)
-    return adjacency_items(g), None if lists is None else tuple(lists.items())
+    if isinstance(lists, list):
+        assert len(lists) == len(g.slots) and lists[0] is None
+    return adjacency_items(g), None if lists is None else tuple((v, lists[v]) for v in g.vertices)
 
 
 @st.composite
@@ -212,29 +219,10 @@ def test_emit_matches_per_vertex_join(g, data):
         assert emit_instance(g, lists) == emit_instance_joined(g, lists)
 
 
-@given(instance_texts())
-def test_parse_lists_by_id_match_the_dict(text):
-    try:
-        g, lists = parse_instance(text)
-    except Exception as exc:  # compared, not swallowed
-        with pytest.raises(type(exc)) as info:
-            parse_instance(text, by_id=True)
-        assert str(info.value) == str(exc)
-        return
-    g_by_id, by_id = parse_instance(text, by_id=True)
-    assert g_by_id == g
-    if lists is None:  # no l line
-        assert by_id is None
-        return
-    # entry by entry; vertices without an l line get empty lists in both
-    assert len(by_id) == len(g.slots) and by_id[0] is None
-    assert [by_id[v] for v in g.vertices] == [lists[v] for v in g.vertices]
-
-
 def test_parse_lists_by_id_give_empty_lists_without_an_l_line():
-    _, lists = parse_instance("p edge 3 1\ne 1 2\nl 2 1 2\n", by_id=True)
+    _, lists = parse_instance("p edge 3 1\ne 1 2\nl 2 1 2\n")
     assert lists == [None, frozenset(), frozenset({1, 2}), frozenset()]
-    assert parse_instance("p edge 2 1\ne 1 2\n", by_id=True)[1] is None
+    assert parse_instance("p edge 2 1\ne 1 2\n")[1] is None
 
 
 def test_emit_coloring_reads_a_list_by_id_as_the_dict():
@@ -282,6 +270,59 @@ def test_sliced_parse_reports_the_reference_line(ends, first_end, at, bad, size)
         outcome = _outcome(parse_instance, text)
     assert outcome == _outcome(parse_instance_tuples, text)
     assert isinstance(outcome[0], type)  # an error, with its line number in the message
+
+
+def _coloring_outcome(parse, text):
+    """The parsed coloring, key order included, or the exception's class,
+    message and line number."""
+    try:
+        return tuple(parse(text).items())
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+_VALID_V = ["v 1 2", "c", "", "v 2 -1", "  ", "v 3 10", "c x", "v 4 0"]
+
+
+@given(st.lists(st.sampled_from(_TERMINATORS), min_size=len(_VALID_V) + 1,
+                max_size=len(_VALID_V) + 1),
+       st.sampled_from(["\n", "\r\n"]), st.integers(0, len(_VALID_V)),
+       st.sampled_from(["", "v 1 3", "v 1", "v 1 x", "v x 1", "v 1 2 3", "w 1 2", "e 1 2"]),
+       st.integers(1, 8))
+def test_sliced_coloring_parse_matches_the_whole_text_reader(ends, first_end, at, bad, size):
+    # the first slice ends with the first line, so the malformed line (or none,
+    # for "") lies past it; ends are any terminators, as in the reference
+    lines = ["v 100 200", *_VALID_V]
+    lines.insert(at + 1, bad)
+    text = "".join(map(str.__add__, lines, [first_end, *ends]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instance_io, "_SLICE", size)
+        outcome = _coloring_outcome(parse_coloring, text)
+    assert outcome == _coloring_outcome(parse_coloring_whole, text)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's stack keeps call arguments alive")
+def test_parse_frees_the_text_before_the_build(monkeypatch):
+    refs = []
+
+    class Text(str):  # a str that a weakref can follow
+        def __new__(cls, value):
+            text = super().__new__(cls, value)
+            refs.append(weakref.ref(text))
+            return text
+
+    build_graph = instance_io.build_graph
+    alive = []
+
+    def probe(*args):
+        alive.append(refs[0]() is not None)
+        return build_graph(*args)
+
+    monkeypatch.setattr(instance_io, "build_graph", probe)
+    # more than one slice, so the reader lets go of the text only at its end
+    g, _ = parse_instance(Text("p edge 3 1\n" + "c\n" * instance_io._SLICE + "e 1 2\n"))
+    assert g.m == 1 and alive == [False]
 
 
 def test_parse_holds_no_list_of_every_line(monkeypatch):
