@@ -4,10 +4,11 @@ For any graph this module produces one of two independently checkable
 certificates: an elimination order in which every vertex's earlier neighbors
 form a clique (the graph is chordal), or a hole, i.e. a chordless cycle of
 length at least four (it is not). The order comes from maximum cardinality
-search with weight buckets, and each vertex is checked against its earlier
-neighbors as it is visited; at the first violation the search stops and the
-hole grows from it by one BFS. Chordal graphs are then list-colored greedily
-along the order.
+search with weight buckets. Each visit carries the vertex's count of earlier
+neighbors and its anchor, the last of them visited, and a vertex with two or
+more is checked against its anchor as it is visited; at the first violation
+the search stops and the hole grows from it by one BFS. Chordal graphs are
+then list-colored greedily along the order.
 """
 
 from __future__ import annotations
@@ -78,17 +79,19 @@ def uniform_lists(g: Graph, k: int) -> ListAssignment:
     return {v: colors for v in g.vertices}
 
 
-def _mcs(g: Graph) -> Iterator[int]:
-    """Yield the vertices in maximum cardinality search order.
+def _mcs(g: Graph, weight: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield the vertices in maximum cardinality search order, each with its
+    count of earlier neighbors and its anchor, the last of them visited (0 if none).
 
-    weight[v] counts v's visited neighbors, -1 once v is visited. buckets[w]
-    (w >= 1) is a min-heap of the ids that reached weight w; an entry is
-    stale once its vertex is visited or heavier. Weight 0 has no bucket: the
-    untouched vertices come in ascending order from one lazy pass over the
-    ids, read once per component.
+    weight[v] (the caller's zeros by id) counts v's visited neighbors, its
+    count at its visit, and is -1 from then on. latest[u] is u's last visited
+    neighbor. buckets[w] (w >= 1) is a min-heap of the ids that reached weight
+    w; an entry is stale once its vertex is visited or heavier. Weight 0 has
+    no bucket: the untouched vertices come in ascending order from one lazy
+    pass over the ids, read once per component.
     """
     slots = g.slots
-    weight = [0] * len(slots)
+    latest = [0] * len(slots)
     untouched = filterfalse(weight.__getitem__, g.vertices)
     buckets: list[list[int]] = [[]]  # [0] stays empty
     top = 0
@@ -106,11 +109,12 @@ def _mcs(g: Graph) -> Iterator[int]:
             if v is None:
                 return
         weight[v] = -1  # visited
-        yield v
+        yield v, top, latest[v]
         for u in slots[v]:
             w = weight[u] + 1
             if w:  # u is unvisited
                 weight[u] = w
+                latest[u] = v
                 if w == len(buckets):
                     buckets.append([])
                 heappush(buckets[w], u)
@@ -125,28 +129,28 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     breaking ties toward the smallest id; the first vertex is the smallest id.
     For chordal graphs the result is a perfect elimination ordering.
     """
-    return tuple(_mcs(g))
+    return tuple(v for v, _, _ in _mcs(g, [0] * len(g.slots)))
 
 
-def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, list[int]]:
-    """Check each vertex of order against its earlier neighbors, up to the
-    first violation: that violation (None if none) and the vertices that
-    passed, in order. The violation holds the lexicographically smallest
-    non-adjacent pair of earlier neighbors.
+def _walk_peo(g: Graph, visits: Iterable[tuple[int, int, int]],
+              marks: list[int]) -> tuple[PeoViolation | None, list[int]]:
+    """Check each visit (v, its count of earlier neighbors, its anchor) up to
+    the first violation: that violation (None if none) and the vertices that
+    passed, in order. v's earlier neighbors, the u with marks[u] < 0, are read
+    only when there are two or more; the violation holds the lexicographically
+    smallest non-adjacent pair of them.
 
-    Checking against the latest-placed earlier neighbor, the anchor,
+    Checking against the anchor, the latest-placed earlier neighbor,
     suffices: an earlier neighbor adjacent to it is one of its own earlier
     neighbors, pairwise adjacent since it passed. One vertex can anchor many
     later ones, so each anchor's closed neighborhood is built once per walk.
     """
     slots = g.slots
     passed: list[int] = []
-    pos = [0] * len(slots)  # 1 + the position of each vertex that passed
     closed_sets: dict[int, frozenset[int]] = {}
-    for v in order:
-        earlier = [u for u in slots[v] if pos[u]]  # ascending
-        if len(earlier) > 1:
-            anchor = max(earlier, key=pos.__getitem__)
+    for v, count, anchor in visits:
+        if count > 1:
+            earlier = [u for u in slots[v] if marks[u] < 0]  # ascending
             closed = closed_sets.get(anchor)
             if closed is None:
                 closed = closed_sets[anchor] = g.neighbor_set(anchor) | {anchor}
@@ -155,7 +159,6 @@ def _walk_peo(g: Graph, order: Iterable[int]) -> tuple[PeoViolation | None, list
                 pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
                 return PeoViolation(vertex=v, witness_pair=pair), passed
         passed.append(v)
-        pos[v] = len(passed)
     return None, passed
 
 
@@ -168,7 +171,13 @@ def verify_peo(g: Graph, order: Sequence[int]) -> PeoViolation | None:
     seq = tuple(order)
     if len(seq) != g.n or not set(seq).issuperset(g.vertices):
         raise NotAPermutation("order must be a permutation of the graph's vertices")
-    return _walk_peo(g, seq)[0]
+    pos = [0] * len(g.slots)  # -1 - the position of each vertex walked
+    def visits() -> Iterator[tuple[int, int, int]]:  # as _mcs yields them
+        for i, v in enumerate(seq, 1):
+            earlier = [u for u in g.slots[v] if pos[u]]
+            yield v, len(earlier), min(earlier, key=pos.__getitem__, default=0)
+            pos[v] = -i
+    return _walk_peo(g, visits(), pos)[0]
 
 
 def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
@@ -214,18 +223,19 @@ def find_hole_from_witness(g: Graph, v: int, u: int, w: int) -> Hole | None:
 def chordality_certificate(g: Graph) -> ChordalityCertificate:
     """Either a verified elimination order or a hole.
 
-    Runs maximum cardinality search and checks each vertex against its
-    earlier neighbors as it is visited, exactly as :func:`verify_peo` would
-    check the finished order. At the first violation the search stops and the
-    hole grows from the witness by one BFS. This relies on the MCS path
-    property (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984; addendum,
-    SIAM J. Comput. 14(1), 1985): at the first violation v of an MCS order,
-    any two non-adjacent earlier neighbors are joined by a path that avoids
-    v and its other neighbors. The hole is returned in canonical rotation:
-    smallest id first, then toward the smaller of that vertex's two cycle
-    neighbors.
+    Runs maximum cardinality search and checks each visit, which carries the
+    vertex's count of earlier neighbors and its anchor, as :func:`verify_peo`
+    would check the finished order. At the first violation the search stops
+    and the hole grows from the witness by one BFS. This relies on the MCS
+    path property (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984;
+    addendum, SIAM J. Comput. 14(1), 1985): at the first violation v of an
+    MCS order, any two non-adjacent earlier neighbors are joined by a path
+    that avoids v and its other neighbors. The hole is returned in canonical
+    rotation: smallest id first, then toward the smaller of that vertex's two
+    cycle neighbors.
     """
-    viol, passed = _walk_peo(g, _mcs(g))
+    weight = [0] * len(g.slots)
+    viol, passed = _walk_peo(g, _mcs(g, weight), weight)
     if viol is None:
         return ChordalityCertificate(peo=tuple(passed))
     hole = find_hole_from_witness(g, viol.vertex, *viol.witness_pair)

@@ -84,22 +84,27 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
     us: list[int] = []
     vs: list[int] = []
     lists: list[frozenset[int] | None] = [None] * (n + 1)
-    # keyed by the tokens joined with single spaces, so that equal l lines
-    # share one frozenset and convert their tokens once
+    # keyed by the line's text after the vertex id: equal l lines written
+    # alike share one frozenset and convert their colors once; lines spaced
+    # differently get equal frozensets that are not shared
     color_lists: dict[str, frozenset[int]] = {}
     for line_no, raw in lines:
-        tokens = raw.split()
+        tokens = raw.split(None, 2)  # a third piece of more tokens fails int()
         if not tokens:
             continue
         kind = tokens[0]
         if kind == "e":
-            if len(tokens) != 3:
-                raise ParseError(line_no, "edge line must be 'e <u> <v>'")
             try:
                 u = int(tokens[1])
                 v = int(tokens[2])
-            except ValueError:
-                raise ParseError(line_no, "edge endpoints must be integers") from None
+            except (IndexError, ValueError):
+                tokens = raw.split()  # for the error, or an end int() refuses: "\x1f"
+                if len(tokens) != 3:
+                    raise ParseError(line_no, "edge line must be 'e <u> <v>'") from None
+                try:
+                    u, v = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    raise ParseError(line_no, "edge endpoints must be integers") from None
             if u == v:
                 raise ParseError(line_no, f"edge ({u}, {v}) is a self-loop")
             if not 1 <= u <= n:
@@ -111,12 +116,12 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
         elif kind == "l":
             if len(tokens) < 2:
                 raise ParseError(line_no, "list line must be 'l <v> <colors...>'")
-            key = " ".join(tokens[2:])
+            key = tokens[2] if len(tokens) == 3 else ""
             try:
                 v = int(tokens[1])
                 colors = color_lists.get(key)
                 if colors is None:
-                    colors = color_lists[key] = frozenset(map(int, tokens[2:]))
+                    colors = color_lists[key] = frozenset(map(int, key.split()))
             except ValueError:
                 raise ParseError(line_no, "list entries must be integers") from None
             if not 1 <= v <= n:

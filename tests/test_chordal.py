@@ -294,8 +294,10 @@ def test_certificate_matches_heap_reference_on_sparse_graphs():
 @given(relabelled(st.one_of(graphs(max_n=12), nonchordal_graphs(max_n=12))),
        st.randoms(use_true_random=False))
 def test_one_walker_matches_two_walker_reference(g, rnd):
-    # verify_peo and the certificate share one walker; each answers as its
-    # own loop did: the same violation, order or hole
+    # verify_peo and the certificate still share one walker: the anchor check,
+    # the closed-set cache and the witness pair. Only what feeds it differs:
+    # the search's own count and anchor, or those of a given order. Each
+    # answers as its own loop did: the same violation, order or hole
     cert = chordality_certificate(g)
     assert (cert.peo, None if cert.hole is None else cert.hole.cycle) == \
         certificate_two_walkers(g)
@@ -303,6 +305,47 @@ def test_one_walker_matches_two_walker_reference(g, rnd):
     rnd.shuffle(order)
     for seq in (order, mcs_order(g)):
         assert verify_peo(g, seq) == verify_peo_two_walkers(g, seq)
+
+
+# (vertex count, edges on ids 0.., a vertex v, its anchor, whether the graph
+# is chordal). In an MCS order the anchor is v's earlier neighbor visited
+# last. Vertex 0 anchors vertex 1 in the first two graphs, and 0 is also the
+# anchor array's default entry: a rule that kept that default would flag the
+# second triangle of the first graph and pass the C4 of the second. In the
+# last two the anchor is not the largest earlier id: taking the largest id
+# (3, the hub) would pass vertex 4 of the fourth graph, whose earlier
+# neighbors 0 and 2 are not adjacent.
+_ANCHOR_CASES = [
+    (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], 1, 0, True),
+    (4, [(0, 1), (0, 2), (1, 3), (2, 3)], 1, 0, False),
+    (5, [(0, 4), (1, 2), (1, 4), (2, 4)], 2, 1, True),
+    (5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 4, 2, False),
+]
+
+
+@pytest.mark.parametrize("n, edges, v, anchor, chordal", _ANCHOR_CASES)
+def test_certificate_takes_the_latest_earlier_neighbor_as_anchor(n, edges, v, anchor, chordal):
+    g = build_graph(list(range(n)), edges)
+    order = mcs_order_heap(g)
+    earlier = [u for u in g.neighbors(v) if order.index(u) < order.index(v)]
+    assert max(earlier, key=order.index) == anchor  # the case is what it claims
+    assert anchor == 0 or anchor < max(earlier)
+    cert = chordality_certificate(g)
+    peo, hole = certificate_pipeline(g)
+    assert cert.is_chordal == chordal
+    assert cert.peo == peo
+    assert cert.hole == (None if hole is None else Hole(hole))
+
+
+def test_verify_peo_reads_an_anchor_at_id_0():
+    # in an MCS order vertex 0 comes first, so it anchors only vertices with
+    # one earlier neighbor; in a given order it can anchor a check: here 0 is
+    # the later of vertex 3's earlier neighbors 1 and 0, which are not adjacent
+    g = build_graph([0, 1, 3], [(0, 3), (1, 3)])
+    order = [1, 0, 3]
+    assert verify_peo(g, order) == PeoViolation(vertex=3, witness_pair=(0, 1))
+    assert first_peo_violation_bruteforce(g, order) == (3, (0, 1))
+    assert verify_peo(g, [0, 3, 1]) is None
 
 
 def test_certificate_builds_each_anchor_set_once(monkeypatch):

@@ -155,12 +155,26 @@ def _outcome(parse, text):
     return adjacency_items(g), None if lists is None else tuple((v, lists[v]) for v in g.vertices)
 
 
+# whitespace that str.split() separates tokens at and splitlines ends no line
+# at; int() strips all but "\x1f" from a token's ends
+_SEPARATORS = (" ", "\t", "  ", "\x1f", "\xa0", "\u3000")
+
+
 @st.composite
 def instance_texts(draw):
     """Valid instance texts, and the same texts with a few malformed lines
-    (self-loops, bad or non-integer endpoints, short lines, second p and l
-    lines, unknown kinds, no p line) spliced in; blank lines and comments
-    anywhere."""
+    (self-loops, bad or non-integer endpoints, short or long lines, second p
+    and l lines, unknown kinds, no p line) spliced in; blank lines and
+    comments anywhere. Each line's tokens are joined by any of _SEPARATORS
+    and may end in one."""
+
+    def spaced(line):
+        tokens = line.split(" ")
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens) - 1,
+                             max_size=len(tokens) - 1))
+        end = draw(st.sampled_from(["", *_SEPARATORS]))
+        return "".join(map(str.__add__, tokens, [*seps, end]))
+
     n = draw(st.integers(0, 7))
     ids = st.integers(1, max(n, 1))
     lines = []
@@ -173,9 +187,6 @@ def instance_texts(draw):
         lines.append(" ".join(["l", str(v), *map(str, colors)]))
     if draw(st.integers(0, 9)):  # one text in ten has no p line
         lines.insert(0, f"p edge {n} {draw(st.integers(0, n * (n - 1) // 2))}")
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))),
-                     draw(st.sampled_from(["", "   ", "\t", "c", "c a comment"])))
     bad = st.one_of(
         ids.map(lambda v: f"e {v} {v}"),
         st.tuples(*[st.sampled_from([1, 0, -1, n + 1, 10**12])] * 2).map(
@@ -183,11 +194,16 @@ def instance_texts(draw):
         st.sampled_from([0, -3, n + 1]).map(lambda x: f"l {x} 1 2"),
         ids.map(lambda v: f"l {v} 3"),  # a second l line if v already has one
         st.sampled_from(["e 1 x", "e 1.5 2", "l 1 a", "l b 1", "e 1", "e", "l",
-                         "e 1 2 3", "p edge 2 1", "p edge 2", "p node 2 0", "p edge x 0",
-                         "p edge -1 0", "p edge 3 9", "q 1 2", "v 1 1", "E 1 2"]),
+                         "e 1 2 3", "e 1 2 x", "e x 1 2", "e 1 2\t3", "p edge 2 1",
+                         "p edge 2", "p node 2 0", "p edge x 0", "p edge -1 0", "p edge 3 9",
+                         "q 1 2", "v 1 1", "E 1 2"]),
     )
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    lines = [spaced(line) for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "\t", "c", "c a comment"])))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -198,6 +214,10 @@ def instance_texts(draw):
 @example("e 1 2\n")
 @example("p edge 2 0\nq\n")
 @example("")
+@example("p edge 2 1\ne 1 2\x1f\n")  # int() refuses the third piece, "2\x1f"
+@example("p edge 3 0\ne 1 2\t3\n")
+@example("p edge 3 0\ne 1 2 x\n")
+@example("p edge 2 0\nl 1 1\xa02\u3000\nl 2 1 2\n")
 def test_parse_matches_edge_tuple_reference(text):
     assert _outcome(parse_instance, text) == _outcome(parse_instance_tuples, text)
 
