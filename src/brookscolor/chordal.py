@@ -142,22 +142,19 @@ def _walk_peo(g: Graph, visits: Iterable[tuple[int, int, int]],
 
     Checking against the anchor, the latest-placed earlier neighbor,
     suffices: an earlier neighbor adjacent to it is one of its own earlier
-    neighbors, pairwise adjacent since it passed. One vertex can anchor many
-    later ones, so each anchor's closed neighborhood is built once per walk.
+    neighbors, pairwise adjacent since it passed. Each other earlier neighbor
+    is tested by `Graph.adjacent`, so the walk keeps nothing across visits.
     """
     slots = g.slots
     passed: list[int] = []
-    closed_sets: dict[int, frozenset[int]] = {}
     for v, count, anchor in visits:
         if count > 1:
             earlier = [u for u in slots[v] if marks[u] < 0]  # ascending
-            closed = closed_sets.get(anchor)
-            if closed is None:
-                closed = closed_sets[anchor] = g.neighbor_set(anchor) | {anchor}
-            if not closed.issuperset(earlier):
-                # the anchor and some earlier vertex form a pair, so next() finds one
-                pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
-                return PeoViolation(vertex=v, witness_pair=pair), passed
+            for u in earlier:
+                if u != anchor and not g.adjacent(anchor, u):
+                    # the anchor and u form a pair, so next() finds one
+                    pair = next(p for p in combinations(earlier, 2) if not g.adjacent(*p))
+                    return PeoViolation(vertex=v, witness_pair=pair), passed
         passed.append(v)
     return None, passed
 

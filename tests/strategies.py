@@ -36,11 +36,12 @@ def nonchordal_graphs(draw, max_n: int = 9):
 
 
 @st.composite
-def relabelled(draw, base):
+def relabelled(draw, base, max_id: int = 10**6):
     """A graph drawn from `base` with its ids mapped onto distinct, shuffled,
-    non-contiguous non-negative ids, reaching past the ints CPython caches."""
+    non-contiguous ids in 0..max_id, by default reaching past the ints
+    CPython caches."""
     g = draw(base)
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=g.n, max_size=g.n, unique=True))
+    ids = draw(st.lists(st.integers(0, max_id), min_size=g.n, max_size=g.n, unique=True))
     new = dict(zip(g.vertices, ids))
     return build_graph(ids, [(new[u], new[v]) for u, v in g.edges()])
 

@@ -123,6 +123,17 @@ def test_surgery_keeps_ids_stable():
             graph.neighbors(absent)
 
 
+@given(relabelled(graphs(), max_id=30))
+def test_adjacent_matches_membership_in_neighbors(g):
+    # every v in 0..max id + 2: below, between and past the ends of u's
+    # neighbor tuple, and ids that are no vertex (gaps, 0, past the last)
+    top = max(g.vertices, default=0) + 2
+    for u in g.vertices:
+        nbrs = g.neighbors(u)
+        for v in range(top + 1):
+            assert g.adjacent(u, v) == (v in nbrs), (u, v)
+
+
 @given(graphs())
 def test_adjacency_is_symmetric_and_loop_free(g):
     for v in g.vertices:
