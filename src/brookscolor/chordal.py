@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import combinations, filterfalse
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph
 
-# Per-vertex allowed colors and a chosen color per vertex.
-ListAssignment = dict[int, frozenset[int]]
+# Per-vertex allowed colors and a chosen color per vertex. A list may be any
+# collection; a tuple, as the parser and generators make, is trusted to be
+# ascending and free of repeats, and is read in its own order.
+ListAssignment = dict[int, Collection[int]]
 Coloring = dict[int, int]
 
 
@@ -74,8 +76,8 @@ class ChordalityCertificate:
 
 
 def uniform_lists(g: Graph, k: int) -> ListAssignment:
-    """Every vertex gets the list {1, ..., k}."""
-    colors = frozenset(range(1, k + 1))
+    """Every vertex gets the list (1, ..., k), one shared tuple."""
+    colors = tuple(range(1, k + 1))
     return {v: colors for v in g.vertices}
 
 
@@ -248,7 +250,8 @@ def chordality_certificate(g: Graph) -> ChordalityCertificate:
 
 def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
                        colors: list[int | None] | None = None) -> Coloring | list[int | None]:
-    """Color vertices in the given order, smallest free list color first.
+    """Color vertices in the given order, smallest free list color first: a
+    tuple's first free color, any other collection's smallest.
 
     Succeeds whenever some list color is free at every step; in particular
     along a perfect elimination ordering with lists of size >= clique number,
@@ -268,13 +271,13 @@ def greedy_color_along(g: Graph, order: Sequence[int], lists: ListAssignment,
     color_of = colors.__getitem__
     for v in order:
         used = set(map(color_of, slots[v]))  # None marks an uncolored neighbor
-        # one scan for the smallest free color: no copy and no sort of the
-        # list, and faster than min(filterfalse(...)) or a set difference
-        best = None
-        for color in lists[v]:
-            if (best is None or color < best) and color not in used:
-                best = color
-        if best is None:
+        allowed = lists[v]
+        if type(allowed) is not tuple:  # a set's iteration order is not ascending
+            allowed = sorted(allowed)
+        for color in allowed:  # most vertices stop at the first or second color
+            if color not in used:
+                colors[v] = color
+                break
+        else:
             raise ListExhausted(v)
-        colors[v] = best
     return dict(zip(order, map(color_of, order))) if fresh else colors

@@ -230,8 +230,8 @@ def random_lists(
     list_size: int,
     rng: SplitMix64 | int,
 ) -> ListAssignment:
-    """Uniform random list_size-subsets of {1..palette}, per vertex ascending.
-    Equal lists are one shared object."""
+    """Uniform random list_size-subsets of {1..palette}, per vertex an
+    ascending tuple. Equal lists are one shared object."""
     _check_list_params(len(vertices), palette, list_size)
     if isinstance(rng, int):
         rng = SplitMix64(rng)
@@ -249,7 +249,7 @@ def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
     # O(list_size); a larger one is read by index with its displaced entries
     # in a dict, so it is never built.
     lists: ListAssignment = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     if palette <= _POOL_PER_LIST * list_size:
         pool = list(range(1, palette + 1))
         for v in vertices:
@@ -257,7 +257,9 @@ def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
             for i in range(list_size):
                 j = i + draw() % (palette - i)
                 drawn[i], drawn[j] = drawn[j], drawn[i]
-            colors = frozenset(drawn[:list_size])
+            del drawn[list_size:]
+            drawn.sort()
+            colors = tuple(drawn)
             lists[v] = shared.setdefault(colors, colors)
     else:
         for v in vertices:
@@ -267,7 +269,8 @@ def _draw_lists(vertices: Sequence[int], palette: int, list_size: int,
                 j = i + draw() % (palette - i)
                 drawn.append(moved.get(j, j + 1))
                 moved[j] = moved.get(i, i + 1)
-            colors = frozenset(drawn)
+            drawn.sort()
+            colors = tuple(drawn)
             lists[v] = shared.setdefault(colors, colors)
     return lists
 

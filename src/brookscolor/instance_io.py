@@ -47,10 +47,11 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None]:
+def parse_instance(text: str) -> tuple[Graph, list[tuple[int, ...] | None] | None]:
     """Parse an instance file into a graph and, if ``l`` lines occur, lists
     by vertex id: None at id 0, which no vertex has, and an empty list for
-    each vertex without an ``l`` line.
+    each vertex without an ``l`` line. Each list is a tuple of its line's
+    distinct colors, ascending.
     """
     lines = enumerate(_lines(text), start=1)
     # _lines holds the text to its last slice: from 3.11 on, freed before the build
@@ -83,11 +84,11 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
     ids = list(range(n + 1))
     us: list[int] = []
     vs: list[int] = []
-    lists: list[frozenset[int] | None] = [None] * (n + 1)
+    lists: list[tuple[int, ...] | None] = [None] * (n + 1)
     # keyed by the line's text after the vertex id: equal l lines written
-    # alike share one frozenset and convert their colors once; lines spaced
-    # differently get equal frozensets that are not shared
-    color_lists: dict[str, frozenset[int]] = {}
+    # alike share one tuple and convert and sort their colors once; lines
+    # spaced differently get equal tuples that are not shared
+    color_lists: dict[str, tuple[int, ...]] = {}
     for line_no, raw in lines:
         tokens = raw.split(None, 2)  # a third piece of more tokens fails int()
         if not tokens:
@@ -121,7 +122,7 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
                 v = int(tokens[1])
                 colors = color_lists.get(key)
                 if colors is None:
-                    colors = color_lists[key] = frozenset(map(int, key.split()))
+                    colors = color_lists[key] = tuple(sorted({*map(int, key.split())}))
             except ValueError:
                 raise ParseError(line_no, "list entries must be integers") from None
             if not 1 <= v <= n:
@@ -139,8 +140,7 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
     if not color_lists:  # no l line
         return g, None
     if lists.count(None) > 1:  # id 0 and a vertex without an l line
-        empty: frozenset[int] = frozenset()
-        lists = [empty if colors is None else colors for colors in lists]
+        lists = [() if colors is None else colors for colors in lists]
         lists[0] = None
     return g, lists
 
@@ -148,7 +148,8 @@ def parse_instance(text: str) -> tuple[Graph, list[frozenset[int] | None] | None
 def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
     """Render a graph (ids must be exactly 1..n) and optional lists as text.
 
-    parse_instance(emit_instance(g, lists)) gives back g and the lists by id.
+    parse_instance(emit_instance(g, lists)) gives back g and the lists by id,
+    as ascending tuples.
     """
     ids = g.vertices
     if ids != tuple(range(1, len(ids) + 1)):
@@ -157,7 +158,7 @@ def emit_instance(g: Graph, lists: ListAssignment | None = None) -> str:
     # g.edges() inlined: its second generator cost about a tenth of emit
     out.extend(f"e {v} {u}" for v, nbrs in zip(ids, g.slots[1:]) for u in nbrs if u > v)
     if lists is not None:
-        # render each distinct list once, keyed by itself: a frozenset caches its hash
+        # render each distinct list once, keyed by itself
         rendered: dict[object, str] = {}
         for v in ids:
             colors = lists[v]

@@ -139,6 +139,8 @@ def _check_hypotheses(
     if min(excess, default=0) < 0:
         return _first_failure(g, lists, connected_components(g), tight=False), [], ()
     order, seen = _slack_order(g, list(compress(ids, excess)))
+    if len(order) == g.n:  # the search left nothing
+        return HypothesisReport(ok=True), order, ()
     parts = connected_components(g, seen)
     return _first_failure(g, lists, parts, tight=True), order, parts
 
@@ -288,13 +290,15 @@ def extend_around_cycle(c: Hole, lists: ListAssignment) -> Coloring:
     return colors
 
 
-def brooks_list_color(g: Graph, lists: ListAssignment | list[frozenset[int] | None]
+def brooks_list_color(g: Graph, lists: ListAssignment | list[tuple[int, ...] | None]
                       ) -> Coloring | list[int | None]:
     """List-color a graph whose components pass :func:`check_hypotheses`.
 
     The returned coloring is proper and drawn from the lists; this is
     verified once before returning. lists is a dict, giving a dict, or a list
     by id, giving the solver's own list by id (None where no vertex has the id).
+    A tuple list is trusted to be ascending and free of repeats, and is read
+    in its own order; any other collection is sorted where order matters.
     """
     report, order, tight = _check_hypotheses(g, lists)
     if not report.ok:

@@ -595,7 +595,7 @@ def build_graph_sets(n_or_ids, edges: Iterable[tuple[int, int]] = ()) -> Graph:
 def parse_instance_tuples(text: str):
     n = None
     edges: list[tuple[int, int]] = []
-    lists: dict[int, frozenset[int]] = {}
+    lists: dict[int, tuple[int, ...]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -643,7 +643,7 @@ def parse_instance_tuples(text: str):
                 raise UnknownVertex(f"line {line_no}: vertex {v} outside 1..{n}")
             if v in lists:
                 raise DuplicateListLine(line_no, f"second list line for vertex {v}")
-            lists[v] = frozenset(colors)
+            lists[v] = tuple(sorted(set(colors)))
         else:
             raise ParseError(line_no, f"unknown line type {kind!r}")
     if n is None:
@@ -651,7 +651,7 @@ def parse_instance_tuples(text: str):
     g = build_graph_sets(n, edges)
     if not lists:
         return g, None
-    return g, {v: lists.get(v, frozenset()) for v in g.vertices}
+    return g, {v: lists.get(v, ()) for v in g.vertices}
 
 
 # ------------------------------------------------ whole-text coloring parser
@@ -820,7 +820,7 @@ def sample_per_draw(rng: SplitMix64, pool, k: int) -> list[int]:
 
 def random_lists_per_draw(vertices, palette: int, list_size: int, rng: SplitMix64):
     colors = range(1, palette + 1)
-    return {v: frozenset(sample_per_draw(rng, colors, list_size)) for v in sorted(vertices)}
+    return {v: tuple(sorted(sample_per_draw(rng, colors, list_size))) for v in sorted(vertices)}
 
 
 def chordal_simplicial_kept_list(n: int, delta: int, rng: SplitMix64) -> list[tuple[int, int]]:

@@ -442,6 +442,31 @@ def test_greedy_raises_list_exhausted():
     assert info.value.vertex == 3
 
 
+# Built in this order, the set iterates 25, 1, 17, 9 on CPython: a greedy that
+# trusted a set's iteration order would pick 25.
+SHUFFLED = frozenset([25, 17, 9, 1])
+
+
+def test_greedy_sorts_a_set():
+    assert next(iter(SHUFFLED)) != min(SHUFFLED)  # the set is not read ascending
+    p2 = path_graph(2)
+    assert greedy_color_along(p2, [1, 2], {1: SHUFFLED, 2: SHUFFLED}) == {1: 1, 2: 9}
+    # the solver's mode: lists and colors by id, extended in place
+    colors = [None, None, None]
+    assert greedy_color_along(p2, [2, 1], [None, SHUFFLED, SHUFFLED], colors) is colors
+    assert colors == [None, 9, 1]
+
+
+def test_greedy_reads_a_tuple_in_its_own_order():
+    # a tuple is trusted to be ascending, so one that is not gives its first
+    # free color, not its smallest
+    p2 = path_graph(2)
+    assert greedy_color_along(p2, [1, 2], {1: (3, 1, 2), 2: (3, 1, 2)}) == {1: 3, 2: 1}
+    colors = [None, None, None]
+    greedy_color_along(p2, [2, 1], [None, (2, 1), (3, 1, 2)], colors)
+    assert colors == [None, 2, 3]
+
+
 def test_greedy_rejects_non_permutation():
     with pytest.raises(NotAPermutation):
         greedy_color_along(path_graph(2), [1, 1], uniform_lists(path_graph(2), 2))

@@ -127,7 +127,8 @@ def test_no_list_draws_guard_stops_a_valid_draw(no_list_draws):
 
 def test_random_lists_sizes_and_range():
     lists = random_lists((1, 2, 3), palette=5, list_size=5, rng=0)
-    assert all(lists[v] == frozenset({1, 2, 3, 4, 5}) for v in (1, 2, 3))
+    assert [lists[v] for v in (1, 2, 3)] == [(1, 2, 3, 4, 5)] * 3
+    assert lists[1] is lists[2] is lists[3]
     with pytest.raises(InfeasibleConfig):
         random_lists((1,), palette=2, list_size=3, rng=0)
 

@@ -274,10 +274,12 @@ def _ring(ids):
 def test_parse_instance_shares_key_objects_with_its_lists():
     n = 700
     g0 = build_graph(n, _ring(list(range(1, n + 1))))
-    lists = {v: frozenset({1, 2, 3}) for v in g0.vertices}
+    lists = {v: (1, 2, 3) for v in g0.vertices}
     g, parsed = parse_instance(emit_instance(g0, lists))
-    # the lists come back by id, so they hold no key objects of their own
+    # the lists come back by id, so they hold no key objects of their own,
+    # and equal l lines give one tuple
     assert g == g0 and parsed == [None, *(lists[v] for v in g0.vertices)]
+    assert len({id(colors) for colors in parsed[1:]}) == 1
     assert _shares_keys(g)
 
 

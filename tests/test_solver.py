@@ -33,6 +33,7 @@ from brookscolor import (
     verify_coloring,
 )
 from brookscolor import Graph, solver
+from strategies import graphs
 
 from reference import (
     all_cycle_colorings,
@@ -815,3 +816,33 @@ def test_brooks_hole_rounds_pay_for_what_they_touch(branch_picks, monkeypatch):
     # pass in each of the four rounds would add 16 n.
     assert reads[0] <= 30 * g.n, reads[0]
     assert verify_coloring(g, lists, phi) is None
+
+
+def test_brooks_sorts_a_set():
+    # built in this order, the set iterates 25, 1, 17, 9 on CPython
+    shuffled = frozenset([25, 17, 9, 1])
+    assert next(iter(shuffled)) != min(shuffled)
+    assert brooks_list_color(build_graph(1, []), {1: shuffled}) == {1: 1}
+    g = build_graph(3, [(1, 2), (2, 3)])
+    lists = {v: shuffled for v in g.vertices}
+    ascending = {v: (1, 9, 17, 25) for v in g.vertices}
+    assert brooks_list_color(g, lists) == brooks_list_color(g, ascending) == {1: 1, 2: 9, 3: 1}
+
+
+@given(graphs(min_n=1), st.data())
+def test_sets_and_ascending_tuples_give_one_coloring(g, data):
+    # colors up to 200, so a set's iteration order is often not ascending;
+    # each list reaches its degree and most exceed it
+    lists = {v: set(data.draw(st.lists(st.integers(1, 200), unique=True,
+                                       min_size=g.degree(v) + data.draw(st.integers(0, 2)),
+                                       max_size=g.degree(v) + 2)))
+             for v in g.vertices}
+    as_tuples = {v: tuple(sorted(colors)) for v, colors in lists.items()}
+    try:
+        expected = brooks_list_color(g, as_tuples)
+    except HypothesisViolation:
+        with pytest.raises(HypothesisViolation):
+            brooks_list_color(g, lists)
+        return
+    assert brooks_list_color(g, lists) == expected
+    assert brooks_list_color(g, {v: frozenset(colors) for v, colors in lists.items()}) == expected
