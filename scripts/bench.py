@@ -29,6 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from workloads import WORKLOADS  # noqa: E402
 
 PYCACHE = ROOT / ".bench-pycache"
+SEED = 1
 
 
 def child_env() -> dict[str, str]:
@@ -48,12 +49,11 @@ def warm_cache() -> None:
         sys.pycache_prefix = saved
 
 
-def run_one(workload: str, seed: int, seconds: float, trace: int,
-            env: dict[str, str]) -> dict:
+def run_one(workload: str, seconds: float, trace: int, env: dict[str, str]) -> dict:
     """One bench/run.py run: its context line and its result line."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode or len(lines) < 2:
@@ -68,13 +68,12 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--seconds", type=float, default=25.0,
                         help="seconds per bench/run.py run (default 25)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=list(WORKLOADS),
                         help="run only this workload (repeatable; default all)")
     args = parser.parse_args()
     env = child_env()
     warm_cache()
-    runs = {name: {f"trace{trace}": run_one(name, args.seed, args.seconds, trace, env)
+    runs = {name: {f"trace{trace}": run_one(name, args.seconds, trace, env)
                    for trace in (0, 1)}
             for name in args.workload or WORKLOADS}
     first = next(iter(runs.values()))["trace0"]["context"]
@@ -84,7 +83,7 @@ def main() -> int:
             "git_sha": first["git_sha"],
             "python": first["python"],
             "nproc": first["nproc"],
-            "seed": args.seed,
+            "seed": SEED,
             "seconds": args.seconds,
             "env": {"PYTHONDONTWRITEBYTECODE": None, "PYTHONUNBUFFERED": None,
                     "PYTHONPYCACHEPREFIX": "warmed, under the checkout"},

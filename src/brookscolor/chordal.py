@@ -20,8 +20,8 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 from .graph import Graph
 
 # Per-vertex allowed colors and a chosen color per vertex. A list may be any
-# collection; a tuple, as the parser and generators make, is trusted to be
-# ascending and free of repeats, and is read in its own order.
+# collection with no repeated color; a tuple, as the parser and generators
+# make, is also trusted to be ascending, and is read in its own order.
 ListAssignment = dict[int, Collection[int]]
 Coloring = dict[int, int]
 

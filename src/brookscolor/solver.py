@@ -297,8 +297,10 @@ def brooks_list_color(g: Graph, lists: ListAssignment | list[tuple[int, ...] | N
     The returned coloring is proper and drawn from the lists; this is
     verified once before returning. lists is a dict, giving a dict, or a list
     by id, giving the solver's own list by id (None where no vertex has the id).
-    A tuple list is trusted to be ascending and free of repeats, and is read
-    in its own order; any other collection is sorted where order matters.
+    Every list must hold no repeated color, whatever its type, since the
+    hypotheses measure a list by its length. A tuple list is also trusted to
+    be ascending, and is read in its own order; any other collection is
+    sorted where order matters.
     """
     report, order, tight = _check_hypotheses(g, lists)
     if not report.ok:
